@@ -4,8 +4,11 @@ closed forms built on them.
 Evaluation strategy: Maclaurin series about 0 for |x| <= X_SWITCH, summed in
 compensated double-double arithmetic so the cancellation of the large series
 terms does not destroy the small function values; full asymptotic expansions
-(well beyond leading order) outside.  The modulus-phase expansions are used
-on the negative axis.
+(well beyond leading order) outside, each summed to its smallest term.  The
+positive axis uses the exponential series of DLMF 9.7.5-9.7.8; the negative
+axis uses the oscillatory Poincare series of DLMF 9.7.9-9.7.12, i.e.
+cos/sin(zeta - pi/4) times the even and odd u_k (v_k for the derivatives)
+sums P and Q.
 
 The split point is 9.0: the oscillatory-side asymptotic error floor behaves
 like exp(-4/3*|x|^(3/2)), which only drops well below 1e-13 for |x| >= 9,

@@ -98,7 +98,7 @@ def _cmd_resonances(args) -> None:
                                      root_tol=args.root_tol,
                                      grid_cells=args.grid_cells)
     rows = [[h.theta, h.residual, h.psi_at_M, h.integral_I, h.dG_dtheta,
-             h.integral_I / h.psi_at_M ** 2] for h in hits]
+             resonance.robin_alpha(V, h, 1.0)] for h in hits]
     _table(["theta", "residual", "psi_M", "integral_I", "dG_dtheta",
             "alpha_per_omega"], rows, args.output)
 

@@ -1,8 +1,10 @@
 """Cauchy problems for the half-line Schrodinger reductions.
 
 Solves -psi'' + (theta*V - gamma*z)*psi = 0 on [0, M] with adaptive
-high-order Runge-Kutta stepping (DOP853, dense output), restarting at every
-breakpoint of V so that coefficient discontinuities never sit inside a step.
+high-order Runge-Kutta stepping (DOP853), restarting at every breakpoint of V
+so that coefficient discontinuities never sit inside a step.  ``march`` is
+the one such integrator: shooting, the stacked coupling scan and the
+variational system differ only in the right-hand side they hand it.
 Small-range solves at scale eps are always routed through the rescaling
 u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps), which keeps the integrated
 problem O(1) in the regime |lambda| = O(eps^-2).
@@ -21,6 +23,7 @@ __all__ = [
     "CauchyState",
     "Trajectory",
     "ScaledTrajectory",
+    "march",
     "solve_psi",
     "solve_psi_tilde",
     "solve_u",
@@ -43,31 +46,24 @@ class CauchyState:
 class Trajectory:
     """Dense solution of a second-order Cauchy problem on [0, x_end]."""
 
-    def __init__(self, segments, node_x, node_y, tol):
+    def __init__(self, segments, y_end):
         self._segments = segments          # list of (t0, t1, OdeSolution)
         self._edges = np.array([s[0] for s in segments] + [segments[-1][1]])
-        self.node_x = node_x               # accepted step abscissae
-        self.node_y = node_y               # shape (2, n): value, derivative
-        self.tol = tol
+        self._y_end = y_end                # (value, derivative) at x_end
 
     @property
     def x_end(self) -> float:
         return float(self._edges[-1])
 
     @property
-    def nodes(self) -> list[CauchyState]:
-        return [CauchyState(float(x), v, d)
-                for x, v, d in zip(self.node_x, self.node_y[0], self.node_y[1])]
-
-    @property
     def endpoint(self) -> CauchyState:
-        return CauchyState(self.x_end, self.node_y[0, -1], self.node_y[1, -1])
+        return CauchyState(self.x_end, self._y_end[0], self._y_end[1])
 
     def __call__(self, x):
         """Return (value, derivative) at x (scalar or array) via the
         integrator's dense interpolant."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((2, xs.size), dtype=self.node_y.dtype)
+        out = np.empty((2, xs.size), dtype=self._y_end.dtype)
         idx = np.clip(np.searchsorted(self._edges, xs, side="right") - 1,
                       0, len(self._segments) - 1)
         for i in range(len(self._segments)):
@@ -80,13 +76,17 @@ class Trajectory:
 
 
 class ScaledTrajectory:
-    """View of a [0, M] trajectory rescaled to [0, eps*M]:
-    u(x) = eps * psi(x/eps), u'(x) = psi'(x/eps)."""
+    """View of a [0, M] trajectory rescaled to [0, eps*M]: value
+    factor*base(x/eps), derivative base'(x/eps)/divisor.  The interior
+    solution u takes (factor, divisor) = (eps, 1), its companion v takes
+    (1, eps)."""
 
-    def __init__(self, base: Trajectory, eps: float):
+    def __init__(self, base: Trajectory, eps: float, factor: float,
+                 divisor: float):
         self.base = base
         self.eps = float(eps)
-        self.tol = base.tol
+        self.factor = float(factor)
+        self.divisor = float(divisor)
 
     @property
     def x_end(self) -> float:
@@ -95,36 +95,31 @@ class ScaledTrajectory:
     @property
     def endpoint(self) -> CauchyState:
         end = self.base.endpoint
-        return CauchyState(self.x_end, self.eps * end.value, end.derivative)
+        return CauchyState(self.x_end, self.factor * end.value,
+                           end.derivative / self.divisor)
 
     def __call__(self, x):
         v, d = self.base(np.asarray(x) / self.eps)
-        return self.eps * v, d
+        return self.factor * v, d / self.divisor
 
 
-def _integrate(coefficient, x_end, y0, breakpoints, tol) -> Trajectory:
-    """March the first-order system (psi, psi') piecewise to x_end."""
+def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
+    """Integrate y' = rhs(x, y) from 0 to the support edge of V, restarting
+    at every breakpoint.  Returns the pieces (lo, hi, OdeSolution or None)
+    and the state at the edge."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cuts = sorted({0.0, float(x_end), *(b for b in breakpoints if 0.0 < b < x_end)})
+    cuts = V.breakpoints
     segments = []
-    node_x, node_y = [], []
     y = np.asarray(y0)
-
-    def rhs(x, y):
-        return [y[1], coefficient(x) * y[0]]
-
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
-                        rtol=tol, atol=tol * 1e-3, dense_output=True)
+                        rtol=tol, atol=tol * 1e-3, dense_output=dense)
         if not sol.success or not np.all(np.isfinite(sol.y)):
             raise NonConvergence(f"integration failed on [{lo}, {hi}]: {sol.message}")
         segments.append((lo, hi, sol.sol))
-        node_x.append(sol.t)
-        node_y.append(sol.y)
         y = sol.y[:, -1]
-    return Trajectory(segments, np.concatenate(node_x),
-                      np.concatenate(node_y, axis=1), tol)
+    return segments, y
 
 
 def _solve_second_order(V, theta, gamma, z, tol, y0):
@@ -136,10 +131,10 @@ def _solve_second_order(V, theta, gamma, z, tol, y0):
         y0 = np.asarray(y0, dtype=float)
         gz = float(np.real(gz))
 
-    def coefficient(x):
-        return theta * V(x) - gz
+    def rhs(x, y):
+        return [y[1], (theta * V(x) - gz) * y[0]]
 
-    return _integrate(coefficient, V.support_end, y0, V.breakpoints, tol)
+    return Trajectory(*march(V, rhs, y0, tol, dense=True))
 
 
 def solve_psi(V: Potential, theta: float, gamma: float = 0.0, z=0.0,
@@ -162,11 +157,11 @@ def solve_u(V: Potential, lam: float, eps: float, z,
     if eps <= 0:
         raise ValueError("eps must be positive")
     base = solve_psi(V, eps * eps * lam, eps * eps, z, tol)
-    return ScaledTrajectory(base, eps)
+    return ScaledTrajectory(base, eps, eps, 1.0)
 
 
 def solve_u_tilde(V: Potential, lam: float, eps: float, z,
-                  tol: float = DEFAULT_TOL) -> Trajectory:
+                  tol: float = DEFAULT_TOL) -> ScaledTrajectory:
     """Second interior solution v with v(0)=1, v'(0)=0 on [0, eps*M].
 
     v(x) = psi_tilde_{eps^2*lam, eps^2}(x/eps) solves the same scaled equation;
@@ -175,26 +170,4 @@ def solve_u_tilde(V: Potential, lam: float, eps: float, z,
     if eps <= 0:
         raise ValueError("eps must be positive")
     base = solve_psi_tilde(V, eps * eps * lam, eps * eps, z, tol)
-    return _TildeView(base, eps)
-
-
-class _TildeView:
-    """v(x) = base(x/eps) value, derivative base'(x/eps)/eps."""
-
-    def __init__(self, base: Trajectory, eps: float):
-        self.base = base
-        self.eps = float(eps)
-        self.tol = base.tol
-
-    @property
-    def x_end(self) -> float:
-        return self.eps * self.base.x_end
-
-    @property
-    def endpoint(self) -> CauchyState:
-        end = self.base.endpoint
-        return CauchyState(self.x_end, end.value, end.derivative / self.eps)
-
-    def __call__(self, x):
-        v, d = self.base(np.asarray(x) / self.eps)
-        return v, d / self.eps
+    return ScaledTrajectory(base, eps, 1.0, eps)

@@ -107,16 +107,20 @@ class KernelEval:
         return out
 
 
+def _match_ab(kappa: complex, u):
+    """The a, b of coefficients_ab, matched to u at its end x_m."""
+    end, x_m = u.endpoint, u.x_end
+    a = 0.5 * np.exp(-kappa * x_m) * (end.value + end.derivative / kappa)
+    b = 0.5 * np.exp(kappa * x_m) * (end.value - end.derivative / kappa)
+    return a, b
+
+
 def coefficients_ab(V: Potential, lam: float, eps: float, z,
                     tol: float = DEFAULT_TOL):
     """Exterior-matching coefficients of phi1 at x_m = eps*M:
     a = e^{-kappa*x_m}(u + u'/kappa)/2, b = e^{kappa*x_m}(u - u'/kappa)/2."""
     kappa = decay_rate(z)
-    traj = solve_u(V, lam, eps, z, tol)
-    end = traj.endpoint
-    x_m = traj.x_end
-    a = 0.5 * np.exp(-kappa * x_m) * (end.value + end.derivative / kappa)
-    b = 0.5 * np.exp(kappa * x_m) * (end.value - end.derivative / kappa)
+    a, b = _match_ab(kappa, solve_u(V, lam, eps, z, tol))
     return complex(a), complex(b)
 
 
@@ -128,8 +132,7 @@ def kernel_scaled(V: Potential, lam: float, eps: float, z,
     v = solve_u_tilde(V, lam, eps, z, tol)
     x_m = u.x_end
     ue, ve = u.endpoint, v.endpoint
-    a = 0.5 * np.exp(-kappa * x_m) * (ue.value + ue.derivative / kappa)
-    b = 0.5 * np.exp(kappa * x_m) * (ue.value - ue.derivative / kappa)
+    a, b = _match_ab(kappa, u)
     K = -2.0 * a * kappa
     if abs(K) < WRONSKIAN_FLOOR:
         raise SingularWronskian(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import BracketScanTooCoarse, DegenerateProfile
-from .ode import DEFAULT_TOL, Trajectory, solve_psi
+from .ode import DEFAULT_TOL, Trajectory, march, solve_psi
 from .potential import Potential
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "LimitDescriptor",
     "shoot_residual",
     "find_resonances",
-    "dG_dtheta",
     "dG_dtheta_variational",
     "robin_alpha",
     "classify_scaling",
@@ -89,25 +88,14 @@ def _scan_slopes(V: Potential, thetas: np.ndarray, tol: float) -> np.ndarray:
 
     The scan only needs signs, so the couplings share adaptive steps; each
     bracket is re-solved at full accuracy during certification."""
-    from scipy.integrate import solve_ivp
-
-    from .errors import NonConvergence
-
     n = thetas.size
 
     def rhs(x, y):
         v = V(x)
         return np.concatenate([y[n:], (thetas * v) * y[:n]])
 
-    y = np.concatenate([np.zeros(n), np.ones(n)])
-    cuts = list(V.breakpoints)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
-                        rtol=tol, atol=tol * 1e-3)
-        if not sol.success:
-            raise NonConvergence(sol.message)
-        y = sol.y[:, -1]
-    return y[n:]
+    y0 = np.concatenate([np.zeros(n), np.ones(n)])
+    return march(V, rhs, y0, tol)[1][n:]
 
 
 def _profile_integrals(V: Potential, traj: Trajectory):
@@ -201,36 +189,16 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
     return hits[:max_hits] if max_hits is not None else hits
 
 
-def dG_dtheta(V: Potential, hit: ResonanceHit, tol: float = 1e-12) -> float:
-    """Sensitivity of the endpoint slope psi'(M) to the coupling, at a
-    certified resonance: (1/psi(M)) * int_0^M V psi^2."""
-    if abs(hit.psi_at_M) <= 1e-8 * (1.0 + abs(hit.theta)):
-        raise DegenerateProfile("psi(M) vanishes; hit cannot be resonant")
-    integral, _ = _profile_integrals(V, hit.trajectory)
-    return integral / hit.psi_at_M
-
-
 def dG_dtheta_variational(V: Potential, theta: float,
                           tol: float = 1e-12) -> float:
-    """Independent route to the same sensitivity: solve the variational
+    """Independent route to ResonanceHit.dG_dtheta: solve the variational
     system for g = d(psi)/d(theta) alongside psi and return g'(M)."""
-    from scipy.integrate import solve_ivp
-
-    from .errors import NonConvergence
 
     def rhs(x, y):
         v = V(x)
         return [y[1], theta * v * y[0], y[3], theta * v * y[2] + v * y[0]]
 
-    y = np.array([0.0, 1.0, 0.0, 0.0])
-    cuts = list(V.breakpoints)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
-                        rtol=tol, atol=tol * 1e-3)
-        if not sol.success:
-            raise NonConvergence(sol.message)
-        y = sol.y[:, -1]
-    return float(y[3])
+    return float(march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol)[1][3])
 
 
 def robin_alpha(V: Potential, hit: ResonanceHit, omega: float) -> float:

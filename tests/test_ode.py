@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -110,3 +112,26 @@ def test_invalid_tol():
 def test_invalid_eps():
     with pytest.raises(ValueError):
         ode.solve_u(potential.square(), -1.0, 0.0, 1.0j)
+
+
+def test_scaled_views_wronskian_and_endpoints():
+    # u (value factor eps) and v (slope divisor eps) keep W(u, v) = -1 on
+    # [0, eps*M]; a wrong factor or divisor scales it by eps or 1/eps
+    V, lam, eps, z = potential.square(), -30.0, 0.3, 1.0j
+    u = ode.solve_u(V, lam, eps, z, tol=1e-12)
+    v = ode.solve_u_tilde(V, lam, eps, z, tol=1e-12)
+    xs = np.linspace(0.05 * eps, 0.95 * eps, 9)
+    uv, ud = u(xs)
+    vv, vd = v(xs)
+    assert np.all(np.abs(uv * vd - ud * vv + 1.0) < 1e-9)
+    ue, ve = u.endpoint, v.endpoint
+    assert ue.x == ve.x == pytest.approx(eps)
+    assert abs(ue.value * ve.derivative - ue.derivative * ve.value + 1.0) < 1e-9
+
+
+def test_solve_ivp_has_one_call_site():
+    # every ODE solve goes through ode.march; no module keeps its own loop
+    src = Path(ode.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py")
+                   if "solve_ivp" in p.read_text(encoding="utf-8"))
+    assert users == ["ode.py"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deltalim import ode, potential, resonance
+from deltalim.errors import NonConvergence
 from deltalim.resonance import LimitDescriptor, ScalingLaw
 
 
@@ -118,3 +119,9 @@ def test_shoot_residual_matches_trajectory():
     end = ode.solve_psi(V, -9.0, tol=1e-12).endpoint
     assert val == pytest.approx(np.real(end.value))
     assert der == pytest.approx(np.real(end.derivative))
+
+
+def test_scan_failure_names_its_segment():
+    # psi grows like exp(sqrt(theta)) here, so the stacked scan cannot finish
+    with pytest.raises(NonConvergence, match=r"\[0\.0, 1\.0\]"):
+        resonance.find_resonances(potential.square(), (1e5, 1e6))
