@@ -7,6 +7,7 @@ rules never straddle a kink or jump.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,23 @@ class Potential:
         return self.breakpoints[-1]
 
     def __call__(self, x):
-        """Evaluate V(x).  Exactly 0 for x > M; x < 0 is out of domain."""
+        """Evaluate V(x).  Exactly 0 for x > M; x < 0 is out of domain.
+
+        A float x (np.float64 included, as the ODE right-hand sides pass it)
+        takes a pure-Python Horner branch that is bit-identical to the array
+        path: the same piece choice, the same IEEE operations in the same
+        order, the same support rule and NaN propagation.
+        """
+        if isinstance(x, float):
+            x = float(x)
+            if x < 0:
+                raise ValueError("potential is defined on the positive half-line")
+            if x > self.breakpoints[-1]:
+                return 0.0
+            # x >= 0 = breakpoints[0], so the index is never below 0
+            i = min(bisect_right(self.breakpoints, x) - 1, len(self.coeffs) - 1)
+            c0, c1, c2, c3 = self.coeffs[i]
+            return c0 + x * (c1 + x * (c2 + x * c3))
         xs = np.asarray(x, dtype=float)
         if np.any(xs < 0):
             raise ValueError("potential is defined on the positive half-line")

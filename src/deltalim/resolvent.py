@@ -95,11 +95,12 @@ class KernelEval:
         if np.any(inn):
             si, ti = s[inn], t[inn]
             phi1 = self.u(si)[0]
-            phi2 = np.where(
-                ti > self.x_m,
-                np.exp(-k * ti),
-                self.c * self.v(np.minimum(ti, self.x_m))[0]
-                + self.d * self.u(np.minimum(ti, self.x_m))[0])
+            # the trajectories are read only where t sits inside [0, x_m]
+            phi2 = np.exp(-k * ti)
+            mid = ti <= self.x_m
+            if np.any(mid):
+                tm = ti[mid]
+                phi2[mid] = self.c * self.v(tm)[0] + self.d * self.u(tm)[0]
             out[inn] = phi1 * phi2 / (2.0 * self.a * k)
         out = out.reshape(xs.shape)
         if np.isscalar(x) and np.isscalar(y):

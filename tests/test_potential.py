@@ -85,3 +85,33 @@ def test_dict_schema_field_names(tmp_path):
     assert set(spec) == {"kind", "breakpoints", "coeffs"}
     assert potential.linear(0.5).to_dict() == {"kind": "linear", "xi": 0.5}
     assert potential.square().to_dict() == {"kind": "square"}
+
+
+@pytest.mark.parametrize("V", [potential.square(), potential.linear(0.7),
+                               potential.piecewise((0.0, 0.3, 0.8, 1.5),
+                                                   [(1.0, -2.0, 0.5, 3.0),
+                                                    (0.2, 1.0, -4.0, 1.5),
+                                                    (-0.7, 0.3, 0.1, -0.05)])])
+def test_scalar_branch_bit_identical_to_array_path(V):
+    M = V.support_end
+    pts = [0.0, M, np.nextafter(M, np.inf)]
+    for b in V.breakpoints:
+        pts += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+    pts += list(np.random.default_rng(5).uniform(0.0, M, 50))
+    pts = np.array([p for p in pts if p >= 0.0])
+    ref = V(pts)
+    for x, want in zip(pts, ref):
+        for arg in (float(x), np.float64(x)):
+            got = V(arg)
+            assert type(got) is float
+            assert got == want
+
+
+def test_scalar_branch_domain_and_special_values():
+    V = potential.linear(0.7)
+    with pytest.raises(ValueError):
+        V(-0.1)
+    with pytest.raises(ValueError):
+        V(np.float64(-0.1))
+    assert np.isnan(V(float("nan")))
+    assert V(np.inf) == 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,49 @@ def test_convergence_study_monotone():
     assert rows[0].error_L2 > rows[1].error_L2
     assert rows[1].alpha_estimate == pytest.approx(1.0, abs=0.05)
     assert rows[0].lam == pytest.approx(THETA0 / 1e-2 + 20.0)
+
+
+@pytest.fixture(scope="module")
+def small_kernel():
+    return resolvent.kernel_scaled(potential.square(), -30.0, 0.1, 0.5 + 1j)
+
+
+def test_kernel_reads_trajectories_only_inside_support(small_kernel):
+    kern = small_kernel
+    x_m = kern.x_m
+
+    def refuse(t):
+        raise AssertionError(f"trajectory read at {t}")
+
+    seen = []
+
+    def record_u(t):
+        seen.append(np.array(t, dtype=float))
+        return kern.u(t)
+
+    # every t > x_m: phi2 is the exterior exponential, so v is never read
+    # and u only at s < x_m
+    xs = np.array([0.3 * x_m, 0.8 * x_m, 1.5 * x_m, 2.0])
+    ys = np.array([1.2, 3.0, 4.0 * x_m, 0.5])
+    stubbed = dataclasses.replace(kern, u=record_u, v=refuse)
+    out = stubbed(xs, ys)
+    assert np.array_equal(out, kern(xs, ys))
+    assert len(seen) == 1 and np.array_equal(seen[0], xs[:2])
+    # s >= x_m too: neither trajectory is read
+    xs, ys = np.array([x_m, 1.0]), np.array([2.0, x_m])
+    out = dataclasses.replace(kern, u=refuse, v=refuse)(xs, ys)
+    assert np.array_equal(out, kern(xs, ys))
+
+
+def test_kernel_inner_formulas(small_kernel):
+    kern = small_kernel
+    k, x_m = kern.kappa, kern.x_m
+    norm = 2.0 * kern.a * k
+    for s, t in ((0.2 * x_m, 0.7), (0.4 * x_m, 2.5)):
+        want = kern.u(s)[0] * np.exp(-k * t) / norm
+        assert abs(kern(s, t) - want) < 1e-14
+        assert abs(kern(t, s) - want) < 1e-14
+    for s, t in ((0.1 * x_m, 0.6 * x_m), (0.5 * x_m, x_m)):
+        phi2 = kern.c * kern.v(t)[0] + kern.d * kern.u(t)[0]
+        want = kern.u(s)[0] * phi2 / norm
+        assert abs(kern(s, t) - want) < 1e-14
