@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import AiryRangeError, NotAResonance
 
@@ -302,29 +303,35 @@ def psi_linear_closed(xi: float, theta: float, x: float):
     return psi, dpsi
 
 
+def _linear_pair(xi: float, theta: float):
+    """(s, Airy quartets at s and at s*(1 - xi)) with s = cbrt(theta/xi^2), or
+    None where the square-well forms stand in (see _use_square)."""
+    if theta == 0.0:
+        raise ValueError("theta must be nonzero")
+    if _use_square(xi, theta):
+        return None
+    s = sigma_parameter(xi, theta)
+    return s, airy_quad(s), airy_quad(s * (1.0 - xi))
+
+
 def upsilon_linear_residual(xi: float, theta: float) -> float:
     """Resonance residual for V_xi; its roots in theta form the resonant set.
 
     Proportional to psi'(1): Ai(s)Bi'(s(1-xi)) - Bi(s)Ai'(s(1-xi)) with
     s = cbrt(theta/xi^2)."""
-    if theta == 0.0:
-        raise ValueError("theta must be nonzero")
-    if _use_square(xi, theta):
+    pair = _linear_pair(xi, theta)
+    if pair is None:
         return _square_closed(theta, 1.0)[1]
-    s = sigma_parameter(xi, theta)
-    at_s = airy_quad(s)
-    at_w = airy_quad(s * (1.0 - xi))
+    _, at_s, at_w = pair
     return at_s.ai * at_w.dbi - at_s.bi * at_w.dai
 
 
-def _check_resonant(xi: float, theta: float, residual_tol: float):
-    res = upsilon_linear_residual(xi, theta)
-    if _use_square(xi, theta):
-        scale = 1.0
+def _check_resonant(xi: float, theta: float, residual_tol: float, pair):
+    if pair is None:
+        res, scale = _square_closed(theta, 1.0)[1], 1.0
     else:
-        s = sigma_parameter(xi, theta)
-        at_s = airy_quad(s)
-        at_w = airy_quad(s * (1.0 - xi))
+        _, at_s, at_w = pair
+        res = at_s.ai * at_w.dbi - at_s.bi * at_w.dai
         scale = max(abs(at_s.ai * at_w.dbi), abs(at_s.bi * at_w.dai), 1e-300)
     if abs(res) > residual_tol * scale:
         raise NotAResonance(
@@ -339,12 +346,11 @@ def alpha_linear(xi: float, theta: float, omega: float,
     s = cbrt(theta/xi^2).  (Sign conventions pinned by the quadrature route
     through the general Robin-parameter formula.)
     """
-    _check_resonant(xi, theta, residual_tol)
-    if _use_square(xi, theta):
+    pair = _linear_pair(xi, theta)
+    _check_resonant(xi, theta, residual_tol, pair)
+    if pair is None:
         return 0.5 * omega
-    s = sigma_parameter(xi, theta)
-    at_s = airy_quad(s)
-    at_w = airy_quad(s * (1.0 - xi))
+    s, at_s, at_w = pair
     return -(omega / (3.0 * xi * s)) * ((at_w.dai / at_s.ai) ** 2
                                         + s * (1.0 - xi) ** 2)
 
@@ -353,19 +359,19 @@ def linear_weighted_square_integral(xi: float, theta: float,
                                     residual_tol: float = 1e-7) -> float:
     """Closed form of the weighted square integral of the shooting profile,
     int_0^1 V_xi(x) psi(x)^2 dx, valid at resonant couplings."""
-    _check_resonant(xi, theta, residual_tol)
-    if _use_square(xi, theta):
+    pair = _linear_pair(xi, theta)
+    _check_resonant(xi, theta, residual_tol, pair)
+    if pair is None:
         return -1.0 / (2.0 * theta)   # square well: int sin^2(t x)/t^2 = 1/(2 t^2)
-    s = sigma_parameter(xi, theta)
-    at_s = airy_quad(s)
-    at_w = airy_quad(s * (1.0 - xi))
+    s, at_s, at_w = pair
     return -(1.0 / (3.0 * xi * theta)) * (
         1.0 + s * (1.0 - xi) ** 2 * (at_s.ai / at_w.dai) ** 2)
 
 
 def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
                            grid_cells: int = 2000, root_tol: float = 1e-12):
-    """Scan the Airy residual for sign changes and bisect each bracket.
+    """Scan the Airy residual for sign changes and refine each bracket by
+    Brent's method to width root_tol*(1+|theta|).
 
     Returns the resonant couplings in theta_range, largest (closest to 0)
     first when the range is negative.
@@ -380,21 +386,8 @@ def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if fa == 0.0:
             roots.append(float(a))
-            continue
-        if fa * fb >= 0.0:
-            continue
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if b - a <= root_tol * (1.0 + abs(mid)):
-                break
-            fm = upsilon_linear_residual(xi, mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0.0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
+        elif fa * fb < 0.0:
+            roots.append(brentq(lambda t: upsilon_linear_residual(xi, t), a, b,
+                                xtol=root_tol, rtol=root_tol))
     roots.sort(key=abs)
     return roots[:max_hits] if max_hits is not None else roots

@@ -169,24 +169,10 @@ def _cmd_classify3d(args) -> None:
 
 
 def _cmd_scan_xi(args) -> None:
-    lo, hi = args.theta_range
     rows = []
     for xi in args.xi:
-        if xi == 0.0:
-            # square-well path: closed-form roots, alpha/omega = 1/2
-            k = 0
-            count = 0
-            while count < args.max:
-                th = -(math.pi * (k + 0.5)) ** 2
-                k += 1
-                if not lo <= th <= hi:
-                    if th < lo:
-                        break
-                    continue
-                rows.append([0.0, th, th, 0.0, 0.5])
-                count += 1
-            continue
-        roots = airy.find_linear_resonances(xi, (lo, hi), max_hits=args.max)
+        roots = airy.find_linear_resonances(xi, args.theta_range,
+                                            max_hits=args.max)
         V = potential.linear(xi)
         for th in roots:
             hit = resonance.resonance_membership(V, th, 1e-8)

@@ -10,8 +10,8 @@ class NonConvergence(DeltaLimError):
 
 
 class BracketScanTooCoarse(DeltaLimError):
-    """A scan cell contained a root that could not be certified (likely
-    more than one sign change, or a tangency, inside one cell)."""
+    """The root refined from a scan cell failed the theta-scaled residual
+    gate (likely more than one sign change, or a tangency, in the cell)."""
 
 
 class DegenerateProfile(DeltaLimError):

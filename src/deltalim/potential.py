@@ -70,8 +70,10 @@ class Potential:
         bp = np.asarray(self.breakpoints)
         idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.coeffs) - 1)
         c = np.asarray(self.coeffs)[idx]
+        outside = xs > self.support_end
+        xs = np.where(outside, 0.0, xs)   # so that x = inf forms no inf*0
         out = c[..., 0] + xs * (c[..., 1] + xs * (c[..., 2] + xs * c[..., 3]))
-        out = np.where(xs > self.support_end, 0.0, out)
+        out = np.where(outside, 0.0, out)
         return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
     def to_dict(self) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import quadrature
 from .errors import BracketScanTooCoarse, DegenerateProfile
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 GRID_CELLS = 400
-MAX_BISECT = 200
 QUAD_NODES = 20
 QUAD_MAX_PANEL = 0.5
 
@@ -113,57 +113,35 @@ def _profile_integrals(V: Potential, traj: Trajectory):
     return float(integral), float(slope)
 
 
-def _certify(V: Potential, a: float, b: float, fa: float, fb: float,
-             root_tol: float, tol: float) -> ResonanceHit:
-    """Bisect a sign-change bracket and assemble the certified hit."""
-    bracket = (a, b)
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:       # bracket at machine resolution
-            break
-        # coarse solves suffice while the bracket is still wide
-        stage_tol = tol if b - a < 1e4 * root_tol else max(tol, 1e-9)
-        fm = shoot_residual(V, mid, stage_tol)[1]
-        if fm == 0.0:
-            a = b = mid
-            break
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-        if b - a <= 0.25 * root_tol * (1.0 + abs(mid)):
-            break
-    theta = 0.5 * (a + b)
+def _certify(V: Potential, a: float, b: float, root_tol: float,
+             tol: float) -> ResonanceHit:
+    """Refine a sign-change bracket by Brent's method to width
+    root_tol*(1+|theta|)/4 and assemble the certified hit."""
+    theta = brentq(lambda t: shoot_residual(V, t, tol)[1], a, b,
+                   xtol=0.25 * root_tol,
+                   rtol=max(0.25 * root_tol, 4 * np.finfo(float).eps))
     traj = solve_psi(V, theta, 0.0, 0.0, tol)
     psi_m = float(np.real(traj.endpoint.value))
     residual = abs(float(np.real(traj.endpoint.derivative)))
-    if residual > root_tol and fb != fa:
-        # one secant step inside the final bracket recovers the half-width
-        # offset of the midpoint when the slope at the root is steep
-        theta_s = (a * fb - b * fa) / (fb - fa)
-        if a <= theta_s <= b:
-            traj_s = solve_psi(V, theta_s, 0.0, 0.0, tol)
-            residual_s = abs(float(np.real(traj_s.endpoint.derivative)))
-            if residual_s < residual:
-                theta, traj, residual = theta_s, traj_s, residual_s
-                psi_m = float(np.real(traj.endpoint.value))
-    if residual > root_tol:
-        raise BracketScanTooCoarse(
-            f"bracket {bracket} refined to theta={theta} but residual "
-            f"{residual:.3e} stays above {root_tol:.1e}; suspect multiple "
-            f"roots or a tangency in one scan cell")
     if abs(psi_m) <= 1e-8 * (1.0 + abs(theta)):
         raise DegenerateProfile(
             f"profile vanishes at the support edge for theta={theta}")
     integral, slope_sq = _profile_integrals(V, traj)
+    dG = integral / psi_m
+    threshold = root_tol * abs(dG) * (1.0 + abs(theta))
+    if residual > threshold:
+        raise BracketScanTooCoarse(
+            f"bracket {(a, b)} refined to theta={theta} but residual "
+            f"{residual:.3e} exceeds root_tol*|dG/dtheta|*(1+|theta|) = "
+            f"{threshold:.3e}; suspect several roots or a tangency in one cell")
     return ResonanceHit(
         theta=theta,
         residual=residual,
-        bracket=bracket,
+        bracket=(a, b),
         psi_at_M=psi_m,
         integral_I=integral,
         dpsi_sq_integral=slope_sq,
-        dG_dtheta=integral / psi_m,
+        dG_dtheta=dG,
         trajectory=traj,
     )
 
@@ -173,20 +151,31 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
                     grid_cells: int = GRID_CELLS) -> list[ResonanceHit]:
     """All sign-change roots of theta -> psi'(M) in theta_range.
 
-    Grid scan with ``grid_cells`` cells followed by bisection; hits are
-    returned ordered by |theta| (the physically first resonances come
-    first for a negative range)."""
+    Grid scan with ``grid_cells`` cells, then Brent's method on each
+    sign-change bracket; hits are returned ordered by |theta| (the
+    physically first resonances come first for a negative range).  With
+    ``max_hits``, brackets are certified nearest |theta| first, and only
+    until no bracket left can hold a root nearer than the max_hits-th."""
     lo, hi = map(float, theta_range)
     if not lo < hi:
         raise ValueError("empty theta range")
     grid = np.linspace(lo, hi, grid_cells + 1)
     vals = _scan_slopes(V, grid, max(tol, 1e-9))
+
+    def nearest(bracket):
+        a, b = bracket
+        return 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
+
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    keep = cells.size if max_hits is None else max_hits
     hits = []
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa * fb < 0.0:
-            hits.append(_certify(V, a, b, fa, fb, root_tol, tol))
-    hits.sort(key=lambda h: abs(h.theta))
-    return hits[:max_hits] if max_hits is not None else hits
+    for bracket in sorted(zip(grid[cells], grid[cells + 1]), key=nearest):
+        if len(hits) >= keep and (
+                not hits or nearest(bracket) >= abs(hits[keep - 1].theta)):
+            break
+        hits.append(_certify(V, *bracket, root_tol, tol))
+        hits.sort(key=lambda h: abs(h.theta))
+    return hits[:keep]
 
 
 def dG_dtheta_variational(V: Potential, theta: float,
@@ -221,7 +210,7 @@ def resonance_membership(V: Potential, theta: float, tol: float = 1e-6,
         fa = shoot_residual(V, a, ode_tol)[1]
         fb = shoot_residual(V, b, ode_tol)[1]
         if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
-            hit = _certify(V, a, b, fa, fb, max(1e-10, tol * 1e-2), ode_tol)
+            hit = _certify(V, a, b, max(1e-10, tol * 1e-2), ode_tol)
             if abs(hit.theta - theta) <= tol * (1.0 + abs(theta)):
                 return hit
             return None

@@ -155,3 +155,21 @@ def test_xi_to_zero_degeneration():
 
 def test_sigma_parameter():
     assert airy.sigma_parameter(0.5, -2.0) == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("closed_form", [
+    lambda xi, theta: airy.alpha_linear(xi, theta, 1.0),
+    airy.linear_weighted_square_integral])
+def test_closed_forms_read_one_airy_pair(monkeypatch, closed_form):
+    theta = airy.find_linear_resonances(0.7, (-30.0, -0.5), max_hits=1)[0]
+    args = []
+    inner = airy.airy_quad
+
+    def counting(x):
+        args.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(airy, "airy_quad", counting)
+    closed_form(0.7, theta)
+    s = airy.sigma_parameter(0.7, theta)
+    assert args == [s, s * (1.0 - 0.7)]

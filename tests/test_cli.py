@@ -155,3 +155,26 @@ def test_fifteen_significant_digits(tmp_path):
             "--theta-range", "-10:-1", "-o", str(out)])
     first = out.read_text().splitlines()[1].split(",")[0]
     assert len(first.lstrip("-").replace(".", "")) >= 15
+
+
+def test_scan_xi_zero_solves_the_ode(tmp_path, monkeypatch):
+    from deltalim import resonance
+    calls = []
+    inner = resonance.resonance_membership
+
+    def counting(V, theta, *args):
+        calls.append(V.xi)
+        return inner(V, theta, *args)
+
+    monkeypatch.setattr(resonance, "resonance_membership", counting)
+    out = tmp_path / "scan.csv"
+    run_ok(["scan-xi", "--xi", "0", "--theta-range", "-60:-0.1",
+            "--max", "2", "-o", str(out)])
+    _, rows = cli.read_table(out)
+    assert calls == [0.0, 0.0]
+    for row, k in zip(rows, (0.5, 1.5)):
+        exact = -(np.pi * k) ** 2
+        assert row[1] == pytest.approx(exact, rel=1e-12)
+        assert row[2] == pytest.approx(exact, rel=1e-9)
+        assert row[3] <= 1e-7
+        assert row[4] == 0.5

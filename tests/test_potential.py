@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -115,3 +116,11 @@ def test_scalar_branch_domain_and_special_values():
         V(np.float64(-0.1))
     assert np.isnan(V(float("nan")))
     assert V(np.inf) == 0.0
+
+
+def test_array_path_infinite_entry_is_silent():
+    V = potential.linear(0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = V(np.array([0.5, np.inf]))
+    assert out.tolist() == [V(0.5), 0.0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deltalim import ode, potential, resonance
-from deltalim.errors import NonConvergence
+from deltalim.errors import BracketScanTooCoarse, NonConvergence
 from deltalim.resonance import LimitDescriptor, ScalingLaw
 
 
@@ -125,3 +125,72 @@ def test_scan_failure_names_its_segment():
     # psi grows like exp(sqrt(theta)) here, so the stacked scan cannot finish
     with pytest.raises(NonConvergence, match=r"\[0\.0, 1\.0\]"):
         resonance.find_resonances(potential.square(), (1e5, 1e6))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_large_root_passes_theta_scaled_gate():
+    hits = resonance.find_resonances(potential.square(), (-2200.0, -1960.0))
+    exact = -(14.5 * np.pi) ** 2
+    assert len(hits) == 1
+    assert abs(hits[0].theta - exact) <= 1e-9 * abs(exact)
+
+
+def test_residual_gate_scales_with_theta(monkeypatch):
+    # hand the gate a theta off the root by a multiple of the stopping width
+    V = potential.square()
+    exact, root_tol = -(14.5 * np.pi) ** 2, 1e-10
+    width = root_tol * (1.0 + abs(exact))
+
+    def certify_at(offset):
+        monkeypatch.setattr(resonance, "brentq",
+                            lambda *args, **kwargs: exact + offset * width)
+        return resonance._certify(V, exact - 1.0, exact + 1.0, root_tol, 1e-12)
+
+    hit = certify_at(0.2)
+    assert hit.residual > root_tol          # an absolute gate rejects this
+    assert hit.residual <= root_tol * abs(hit.dG_dtheta) * (1.0 + abs(exact))
+    with pytest.raises(BracketScanTooCoarse, match=r"exceeds .* = \d"):
+        certify_at(2.0)
+
+
+def test_certify_shoot_budget(monkeypatch):
+    shoots = _count_calls(monkeypatch, resonance, "shoot_residual")
+    hits = resonance.find_resonances(potential.square(), (-150.0, -100.0),
+                                     root_tol=1e-8)
+    exact = -(3.5 * np.pi) ** 2
+    assert [h.theta for h in hits] == [pytest.approx(exact, rel=1e-9)]
+    assert len(shoots) <= 8
+
+
+def test_max_hits_certifies_only_what_it_returns(monkeypatch):
+    certified = _count_calls(monkeypatch, resonance, "_certify")
+    hits = resonance.find_resonances(potential.square(), (-2e4, -30.0),
+                                     max_hits=3)
+    exact = [-(np.pi * (k + 0.5)) ** 2 for k in (2, 3, 4)]
+    assert [h.theta for h in hits] == [pytest.approx(e, rel=1e-9)
+                                       for e in exact]
+    assert len(certified) == 3
+
+
+def test_max_hits_straddling_zero_keeps_the_nearest(monkeypatch):
+    # V = -1 then +1 has resonances of both signs.  The cell (-3, 25) holds
+    # 0 and the root near 22.03, so it comes first; (-31, -3) may still hold
+    # a nearer root (it does: -3.516) and must be certified too.
+    V = potential.piecewise((0.0, 0.5, 1.0), [(-1.0, 0, 0, 0), (1.0, 0, 0, 0)])
+    every = resonance.find_resonances(V, (-31.0, 25.0), grid_cells=2)
+    certified = _count_calls(monkeypatch, resonance, "_certify")
+    one = resonance.find_resonances(V, (-31.0, 25.0), grid_cells=2, max_hits=1)
+    assert len(every) == 2 and every[0].theta < 0.0 < every[1].theta
+    assert [h.theta for h in one] == [every[0].theta]
+    assert len(certified) == 2
