@@ -382,12 +382,16 @@ def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
     grid = np.linspace(lo, hi, grid_cells + 1)
     grid = grid[grid != 0.0]
     vals = np.array([upsilon_linear_residual(xi, t) for t in grid])
+    known = dict(zip(grid, vals))     # brentq starts from the scanned ends
+
+    def residual(t):
+        return known[t] if t in known else upsilon_linear_residual(xi, t)
+
     roots = []
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if fa == 0.0:
             roots.append(float(a))
         elif fa * fb < 0.0:
-            roots.append(brentq(lambda t: upsilon_linear_residual(xi, t), a, b,
-                                xtol=root_tol, rtol=root_tol))
+            roots.append(brentq(residual, a, b, xtol=root_tol, rtol=root_tol))
     roots.sort(key=abs)
     return roots[:max_hits] if max_hits is not None else roots

@@ -3,11 +3,11 @@
 Solves -psi'' + (theta*V - gamma*z)*psi = 0 on [0, M] with adaptive
 high-order Runge-Kutta stepping (DOP853), restarting at every breakpoint of V
 so that coefficient discontinuities never sit inside a step.  ``march`` is
-the one such integrator: shooting, the stacked coupling scan and the
-variational system differ only in the right-hand side they hand it.
-Small-range solves at scale eps are always routed through the rescaling
-u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps), which keeps the integrated
-problem O(1) in the regime |lambda| = O(eps^-2).
+the one such integrator: shooting, the interior basis (u, v), the stacked
+coupling scan and the variational system differ only in the right-hand side
+and initial state they hand it.  Small-range solves at scale eps are always
+routed through the rescaling u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps),
+which keeps the integrated problem O(1) in the regime |lambda| = O(eps^-2).
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ __all__ = [
     "ScaledTrajectory",
     "march",
     "solve_psi",
-    "solve_psi_tilde",
     "solve_u",
-    "solve_u_tilde",
+    "solve_uv",
     "DEFAULT_TOL",
 ]
 
@@ -44,12 +43,14 @@ class CauchyState:
 
 
 class Trajectory:
-    """Dense solution of a second-order Cauchy problem on [0, x_end]."""
+    """Dense solution of a second-order Cauchy problem on [0, x_end]: rows
+    (row, row + 1) of the marched state, read as (value, derivative)."""
 
-    def __init__(self, segments, y_end):
+    def __init__(self, segments, y_end, row: int = 0):
         self._segments = segments          # list of (t0, t1, OdeSolution)
         self._edges = np.array([s[0] for s in segments] + [segments[-1][1]])
-        self._y_end = y_end                # (value, derivative) at x_end
+        self._rows = slice(row, row + 2)
+        self._y_end = y_end[self._rows]    # (value, derivative) at x_end
 
     @property
     def x_end(self) -> float:
@@ -69,7 +70,7 @@ class Trajectory:
         for i in range(len(self._segments)):
             sel = idx == i
             if np.any(sel):
-                out[:, sel] = self._segments[i][2](xs[sel])
+                out[:, sel] = self._segments[i][2](xs[sel])[self._rows]
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return out[0, 0], out[1, 0]
         return out[0], out[1]
@@ -122,32 +123,24 @@ def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
     return segments, y
 
 
-def _solve_second_order(V, theta, gamma, z, tol, y0):
+def _energy_and_state(gamma, z, y0):
+    """gamma*z and the initial state, both complex only for a nonreal
+    energy, so that real problems integrate in real arithmetic."""
     gz = gamma * z
     if np.iscomplexobj(np.asarray(gz)) and np.imag(gz) != 0.0:
-        y0 = np.asarray(y0, dtype=complex)
-        gz = complex(gz)
-    else:
-        y0 = np.asarray(y0, dtype=float)
-        gz = float(np.real(gz))
-
-    def rhs(x, y):
-        return [y[1], (theta * V(x) - gz) * y[0]]
-
-    return Trajectory(*march(V, rhs, y0, tol, dense=True))
+        return complex(gz), np.asarray(y0, dtype=complex)
+    return float(np.real(gz)), np.asarray(y0, dtype=float)
 
 
 def solve_psi(V: Potential, theta: float, gamma: float = 0.0, z=0.0,
               tol: float = DEFAULT_TOL) -> Trajectory:
     """Solution of -psi'' + (theta*V - gamma*z)*psi = 0, psi(0)=0, psi'(0)=1."""
-    return _solve_second_order(V, theta, gamma, z, tol, (0.0, 1.0))
+    gz, y0 = _energy_and_state(gamma, z, (0.0, 1.0))
 
+    def rhs(x, y):
+        return [y[1], (theta * V(x) - gz) * y[0]]
 
-def solve_psi_tilde(V: Potential, theta: float, gamma: float = 0.0, z=0.0,
-                    tol: float = DEFAULT_TOL) -> Trajectory:
-    """Companion solution with psi(0)=1, psi'(0)=0 (spans the solution space
-    together with solve_psi; their Wronskian is -1)."""
-    return _solve_second_order(V, theta, gamma, z, tol, (1.0, 0.0))
+    return Trajectory(*march(V, rhs, y0, tol, dense=True))
 
 
 def solve_u(V: Potential, lam: float, eps: float, z,
@@ -160,14 +153,25 @@ def solve_u(V: Potential, lam: float, eps: float, z,
     return ScaledTrajectory(base, eps, eps, 1.0)
 
 
-def solve_u_tilde(V: Potential, lam: float, eps: float, z,
-                  tol: float = DEFAULT_TOL) -> ScaledTrajectory:
-    """Second interior solution v with v(0)=1, v'(0)=0 on [0, eps*M].
+def solve_uv(V: Potential, lam: float, eps: float, z,
+             tol: float = DEFAULT_TOL):
+    """Interior basis (u, v) on [0, eps*M]: u(0)=0, u'(0)=1 as in solve_u and
+    v(0)=1, v'(0)=0, so W(u, v) = -1.
 
-    v(x) = psi_tilde_{eps^2*lam, eps^2}(x/eps) solves the same scaled equation;
-    no eps prefactor is needed for the Wronskian with u to stay nonzero.
+    Both come from one march of (psi, psi', psi~, psi~') at theta =
+    eps^2*lam, gamma = eps^2, and read its segments as two rescaled views:
+    u(x) = eps*psi(x/eps) and v(x) = psi~(x/eps), whose slope is divided by
+    eps instead.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    base = solve_psi_tilde(V, eps * eps * lam, eps * eps, z, tol)
-    return ScaledTrajectory(base, eps, 1.0, eps)
+    theta = eps * eps * lam
+    gz, y0 = _energy_and_state(eps * eps, z, (0.0, 1.0, 1.0, 0.0))
+
+    def rhs(x, y):
+        q = theta * V(x) - gz
+        return [y[1], q * y[0], y[3], q * y[2]]
+
+    segments, y_end = march(V, rhs, y0, tol, dense=True)
+    return (ScaledTrajectory(Trajectory(segments, y_end, 0), eps, eps, 1.0),
+            ScaledTrajectory(Trajectory(segments, y_end, 2), eps, 1.0, eps))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import SingularWronskian
-from .ode import DEFAULT_TOL, solve_u, solve_u_tilde
+from .ode import DEFAULT_TOL, solve_u, solve_uv
 from .potential import Potential
 from .resonance import ScalingLaw, classify_scaling
 
@@ -29,7 +29,6 @@ __all__ = [
     "AlphaEstimate",
     "ConvergenceRow",
     "decay_rate",
-    "coefficients_ab",
     "kernel_scaled",
     "kernel_reference",
     "apply_resolvent",
@@ -108,43 +107,27 @@ class KernelEval:
         return out
 
 
-def _match_ab(kappa: complex, u):
-    """The a, b of coefficients_ab, matched to u at its end x_m."""
-    end, x_m = u.endpoint, u.x_end
-    a = 0.5 * np.exp(-kappa * x_m) * (end.value + end.derivative / kappa)
-    b = 0.5 * np.exp(kappa * x_m) * (end.value - end.derivative / kappa)
-    return a, b
-
-
-def coefficients_ab(V: Potential, lam: float, eps: float, z,
-                    tol: float = DEFAULT_TOL):
-    """Exterior-matching coefficients of phi1 at x_m = eps*M:
-    a = e^{-kappa*x_m}(u + u'/kappa)/2, b = e^{kappa*x_m}(u - u'/kappa)/2."""
-    kappa = decay_rate(z)
-    a, b = _match_ab(kappa, solve_u(V, lam, eps, z, tol))
-    return complex(a), complex(b)
-
-
 def kernel_scaled(V: Potential, lam: float, eps: float, z,
                   tol: float = DEFAULT_TOL) -> KernelEval:
     """Assembled kernel of -d^2 + lam*V(./eps) - z on the half-line."""
     kappa = decay_rate(z)
-    u = solve_u(V, lam, eps, z, tol)
-    v = solve_u_tilde(V, lam, eps, z, tol)
+    u, v = solve_uv(V, lam, eps, z, tol)
     x_m = u.x_end
     ue, ve = u.endpoint, v.endpoint
-    a, b = _match_ab(kappa, u)
+    decay = np.exp(-kappa * x_m)
+    # C^1 matching of phi1 = u to a*e^{kappa*x} + b*e^{-kappa*x} at x_m
+    a = 0.5 * decay * (ue.value + ue.derivative / kappa)
+    b = 0.5 * np.exp(kappa * x_m) * (ue.value - ue.derivative / kappa)
     K = -2.0 * a * kappa
     if abs(K) < WRONSKIAN_FLOOR:
         raise SingularWronskian(
             f"Wronskian |K| = {abs(K):.2e} below floor; z too close to the "
             f"spectrum at working precision")
-    # C^1 matching of phi2 = c*v + d*u to e^{-kappa*x} at x_m
-    mat = np.array([[ve.value, ue.value],
-                    [ve.derivative, ue.derivative]], dtype=complex)
-    rhs = np.array([np.exp(-kappa * x_m),
-                    -kappa * np.exp(-kappa * x_m)], dtype=complex)
-    c, d = np.linalg.solve(mat, rhs)
+    # C^1 matching of phi2 = c*v + d*u to e^{-kappa*x} at x_m, by Cramer's
+    # rule; det = -W(u, v) is 1 up to the integration error (Liouville)
+    det = ve.value * ue.derivative - ue.value * ve.derivative
+    c = decay * (ue.derivative + kappa * ue.value) / det
+    d = -decay * (ve.derivative + kappa * ve.value) / det
     return KernelEval(kind="scaled", z=complex(z), kappa=kappa,
                       a=complex(a), b=complex(b), c=complex(c), d=complex(d),
                       K=complex(K), x_m=x_m, lam=float(lam), eps=float(eps),

@@ -99,25 +99,27 @@ def _scan_slopes(V: Potential, thetas: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _profile_integrals(V: Potential, traj: Trajectory):
-    bp = V.breakpoints
-
-    def weighted_sq(x):
-        return V(x) * np.real(traj(x)[0]) ** 2
-
-    def slope_sq(x):
-        return np.real(traj(x)[1]) ** 2
-
-    kw = dict(n=QUAD_NODES, max_panel=QUAD_MAX_PANEL)
-    integral = quadrature.integrate(weighted_sq, 0.0, V.support_end, bp, **kw)
-    slope = quadrature.integrate(slope_sq, 0.0, V.support_end, bp, **kw)
+    """int_0^M V psi^2 and int_0^M (psi')^2 on one set of panel nodes."""
+    nodes, weights = quadrature.panel_nodes(
+        0.0, V.support_end, V.breakpoints, QUAD_NODES, QUAD_MAX_PANEL)
+    val, der = traj(nodes)
+    integral = np.sum(weights * (V(nodes) * np.real(val) ** 2))
+    slope = np.sum(weights * np.real(der) ** 2)
     return float(integral), float(slope)
 
 
 def _certify(V: Potential, a: float, b: float, root_tol: float,
-             tol: float) -> ResonanceHit:
+             tol: float, known=None) -> ResonanceHit:
     """Refine a sign-change bracket by Brent's method to width
-    root_tol*(1+|theta|)/4 and assemble the certified hit."""
-    theta = brentq(lambda t: shoot_residual(V, t, tol)[1], a, b,
+    root_tol*(1+|theta|)/4 and assemble the certified hit.  ``known`` maps
+    couplings already shot at ``tol`` to their psi'(M), so the bracket ends
+    are not shot again."""
+    known = known or {}
+
+    def slope(t):
+        return known[t] if t in known else shoot_residual(V, t, tol)[1]
+
+    theta = brentq(slope, a, b,
                    xtol=0.25 * root_tol,
                    rtol=max(0.25 * root_tol, 4 * np.finfo(float).eps))
     traj = solve_psi(V, theta, 0.0, 0.0, tol)
@@ -210,7 +212,8 @@ def resonance_membership(V: Potential, theta: float, tol: float = 1e-6,
         fa = shoot_residual(V, a, ode_tol)[1]
         fb = shoot_residual(V, b, ode_tol)[1]
         if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
-            hit = _certify(V, a, b, max(1e-10, tol * 1e-2), ode_tol)
+            hit = _certify(V, a, b, max(1e-10, tol * 1e-2), ode_tol,
+                           {a: fa, b: fb})
             if abs(hit.theta - theta) <= tol * (1.0 + abs(theta)):
                 return hit
             return None

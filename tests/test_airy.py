@@ -173,3 +173,20 @@ def test_closed_forms_read_one_airy_pair(monkeypatch, closed_form):
     closed_form(0.7, theta)
     s = airy.sigma_parameter(0.7, theta)
     assert args == [s, s * (1.0 - 0.7)]
+
+
+def test_root_refinement_reuses_scanned_ends(monkeypatch):
+    # 201 scanned couplings read 402 Airy values; Brent's method starts from
+    # the scanned bracket ends and reads only its interior iterates
+    args = []
+    inner = airy.airy_quad
+
+    def counting(x):
+        args.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(airy, "airy_quad", counting)
+    roots = airy.find_linear_resonances(0.7, (-80.0, -0.5), grid_cells=200)
+    assert len(roots) == 2
+    assert len(args) == 420
+    assert len(set(args)) == len(args)

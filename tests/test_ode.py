@@ -31,8 +31,8 @@ def test_wronskian_is_minus_one():
     V = potential.piecewise((0.0, 0.4, 1.0),
                             [(1.0, -2.0, 0.0, 0.0), (0.5, 0.0, 1.0, 0.0)])
     tol = 1e-11
-    psi = ode.solve_psi(V, -17.0, tol=tol)
-    chi = ode.solve_psi_tilde(V, -17.0, tol=tol)
+    # at eps = 1 the basis views are psi and psi_tilde themselves
+    psi, chi = ode.solve_uv(V, -17.0, 1.0, 0.0, tol=tol)
     xs = np.linspace(0.0, 1.0, 13)
     pv, pd = psi(xs)
     cv, cd = chi(xs)
@@ -43,8 +43,7 @@ def test_wronskian_is_minus_one():
 def test_wronskian_complex_energy():
     V = potential.square()
     z = 1.5 + 2.0j
-    psi = ode.solve_psi(V, -3.0, gamma=1.0, z=z, tol=1e-11)
-    chi = ode.solve_psi_tilde(V, -3.0, gamma=1.0, z=z, tol=1e-11)
+    psi, chi = ode.solve_uv(V, -3.0, 1.0, z, tol=1e-11)
     xs = np.linspace(0.0, 1.0, 7)
     pv, pd = psi(xs)
     cv, cd = chi(xs)
@@ -56,10 +55,14 @@ def test_linearity_in_initial_data():
     # any Cauchy solution is a combination of psi and psi_tilde
     V = potential.linear(0.6)
     theta = -11.0
-    psi = ode.solve_psi(V, theta, tol=1e-12)
-    chi = ode.solve_psi_tilde(V, theta, tol=1e-12)
+    psi, chi = ode.solve_uv(V, theta, 1.0, 0.0, tol=1e-12)
     a, b = 0.3, -1.7
-    direct = ode._solve_second_order(V, theta, 0.0, 0.0, 1e-12, (b, a))
+
+    def rhs(x, y):
+        return [y[1], theta * V(x) * y[0]]
+
+    direct = ode.Trajectory(*ode.march(V, rhs, np.array([b, a]), 1e-12,
+                                       dense=True))
     xs = np.linspace(0.0, 1.0, 9)
     combo = a * psi(xs)[0] + b * chi(xs)[0]
     assert np.allclose(direct(xs)[0], combo, atol=1e-10)
@@ -83,9 +86,9 @@ def test_scaling_identity_against_direct_integration():
     assert u.x_end == pytest.approx(eps)
 
 
-def test_u_tilde_initial_data():
+def test_v_initial_data():
     V = potential.square()
-    v = ode.solve_u_tilde(V, -5.0, 0.25, 2.0j, tol=1e-12)
+    _, v = ode.solve_uv(V, -5.0, 0.25, 2.0j, tol=1e-12)
     val, der = v(1e-9)
     assert val == pytest.approx(1.0, abs=1e-7)
     assert abs(der) < 1e-6
@@ -118,8 +121,7 @@ def test_scaled_views_wronskian_and_endpoints():
     # u (value factor eps) and v (slope divisor eps) keep W(u, v) = -1 on
     # [0, eps*M]; a wrong factor or divisor scales it by eps or 1/eps
     V, lam, eps, z = potential.square(), -30.0, 0.3, 1.0j
-    u = ode.solve_u(V, lam, eps, z, tol=1e-12)
-    v = ode.solve_u_tilde(V, lam, eps, z, tol=1e-12)
+    u, v = ode.solve_uv(V, lam, eps, z, tol=1e-12)
     xs = np.linspace(0.05 * eps, 0.95 * eps, 9)
     uv, ud = u(xs)
     vv, vd = v(xs)
@@ -127,6 +129,21 @@ def test_scaled_views_wronskian_and_endpoints():
     ue, ve = u.endpoint, v.endpoint
     assert ue.x == ve.x == pytest.approx(eps)
     assert abs(ue.value * ve.derivative - ue.derivative * ve.value + 1.0) < 1e-9
+
+
+def test_basis_u_matches_solve_u():
+    # the u view reads rows (0, 1) of the basis march; rows (2, 3) are v,
+    # whose value starts at 1 and whose slope is scaled the other way
+    V, lam, eps, z = potential.linear(0.6), -30.0, 0.1, 0.5 + 1.0j
+    u_alone = ode.solve_u(V, lam, eps, z, tol=1e-12)
+    u, _ = ode.solve_uv(V, lam, eps, z, tol=1e-12)
+    xs = np.linspace(0.0, eps, 11)
+    for got, want in zip(u(xs), u_alone(xs)):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+    end, ref = u.endpoint, u_alone.endpoint
+    assert end.x == ref.x
+    assert abs(end.value - ref.value) < 1e-10
+    assert abs(end.derivative - ref.derivative) < 1e-10
 
 
 def test_solve_ivp_has_one_call_site():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from deltalim import potential, resolvent
+from deltalim import ode, potential, resolvent
 from deltalim.errors import SingularWronskian
 from deltalim.resonance import ScalingLaw
 
@@ -26,16 +26,39 @@ def test_decay_rate_branch():
         resolvent.decay_rate(1.0)
 
 
-def test_coefficients_ab_free_case():
+def test_exterior_coefficients_free_case():
     # V = 0: u = sinh(kappa x)/kappa, so a = 1/(2 kappa)
     z = 1j
     kappa = resolvent.decay_rate(z)
-    a, b = resolvent.coefficients_ab(potential.zero(), 5.0, 0.3, z)
-    assert a == pytest.approx(1 / (2 * kappa), rel=1e-10)
-    assert b == pytest.approx(-1 / (2 * kappa), rel=1e-10)
+    kern = resolvent.kernel_scaled(potential.zero(), 5.0, 0.3, z)
+    assert kern.a == pytest.approx(1 / (2 * kappa), rel=1e-10)
+    assert kern.b == pytest.approx(-1 / (2 * kappa), rel=1e-10)
     # lam = 0 removes the potential
-    a2, _ = resolvent.coefficients_ab(potential.square(), 0.0, 0.5, 2j)
+    a2 = resolvent.kernel_scaled(potential.square(), 0.0, 0.5, 2j).a
     assert a2 == pytest.approx(1 / (2 * resolvent.decay_rate(2j)), rel=1e-10)
+
+
+def test_kernel_marches_once(monkeypatch):
+    calls = []
+    inner = ode.march
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "march", counting)
+    resolvent.kernel_scaled(potential.square(), -30.0, 0.2, 1j)
+    assert len(calls) == 1
+
+
+def test_phi2_matches_decaying_exponential():
+    # c*v + d*u meets e^{-kappa*x} with value and slope at x_m
+    kern = resolvent.kernel_scaled(potential.linear(0.6), -30.0, 0.1,
+                                   -1 + 0.5j)
+    k, x_m = kern.kappa, kern.x_m
+    (uv, ud), (vv, vd) = kern.u(x_m), kern.v(x_m)
+    assert abs(kern.c * vv + kern.d * uv - np.exp(-k * x_m)) < 1e-12
+    assert abs(kern.c * vd + kern.d * ud + k * np.exp(-k * x_m)) < 1e-12
 
 
 def test_wronskian_value():

@@ -121,8 +121,10 @@ def test_shoot_residual_matches_trajectory():
     assert der == pytest.approx(np.real(end.derivative))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_scan_failure_names_its_segment():
-    # psi grows like exp(sqrt(theta)) here, so the stacked scan cannot finish
+    # psi grows like exp(sqrt(theta)) here, so the stacked scan cannot finish;
+    # the overflow warns inside the integrator before march raises
     with pytest.raises(NonConvergence, match=r"\[0\.0, 1\.0\]"):
         resonance.find_resonances(potential.square(), (1e5, 1e6))
 
@@ -194,3 +196,14 @@ def test_max_hits_straddling_zero_keeps_the_nearest(monkeypatch):
     assert len(every) == 2 and every[0].theta < 0.0 < every[1].theta
     assert [h.theta for h in one] == [every[0].theta]
     assert len(certified) == 2
+
+
+def test_membership_shoots_no_coupling_twice(monkeypatch):
+    # the bracket ends shot for the sign test are handed to Brent's method
+    shoots = _count_calls(monkeypatch, resonance, "shoot_residual")
+    for theta in (-np.pi ** 2 / 4 + 1e-8, -(1.5 * np.pi) ** 2 * (1 + 3e-7)):
+        shoots.clear()
+        hit = resonance.resonance_membership(potential.square(), theta, 1e-6)
+        assert hit is not None
+        thetas = [args[1] for args in shoots]
+        assert len(set(thetas)) == len(thetas)
