@@ -3,9 +3,9 @@
 Solves -psi'' + (theta*V - gamma*z)*psi = 0 on [0, M] with adaptive
 high-order Runge-Kutta stepping (DOP853), restarting at every breakpoint of V
 so that coefficient discontinuities never sit inside a step.  ``march`` is
-the one such integrator: shooting, the interior basis (u, v), the stacked
-coupling scan and the variational system differ only in the right-hand side
-and initial state they hand it.  Small-range solves at scale eps are always
+the one such integrator: shooting, the interior basis (u, v) and the
+stacked coupling scan differ only in the right-hand side and initial state
+they hand it.  Small-range solves at scale eps are always
 routed through the rescaling u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps),
 which keeps the integrated problem O(1) in the regime |lambda| = O(eps^-2).
 """

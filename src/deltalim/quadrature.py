@@ -5,7 +5,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = ["panel_nodes", "integrate"]
+__all__ = ["panel_edges", "gauss_nodes", "panel_nodes"]
 
 _rule_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -16,6 +16,37 @@ def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _rule_cache[n]
 
 
+def panel_edges(a: float, b: float, breakpoints=(),
+                max_panel: float | None = None) -> np.ndarray:
+    """Sorted panel edges of [a, b]: a, b and every breakpoint strictly
+    inside, each exactly, with panels longer than ``max_panel`` subdivided
+    uniformly.  Empty when b <= a."""
+    if b <= a:
+        return np.empty(0)
+    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    edges: list[float] = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        parts = 1 if max_panel is None else max(1, int(np.ceil((hi - lo) / max_panel)))
+        edges.extend(np.linspace(lo, hi, parts + 1)[:-1])
+    edges.append(b)
+    return np.array(edges)
+
+
+def gauss_nodes(edges, n: int = 16, panel_budget: int = 100_000):
+    """n-point Gauss-Legendre nodes/weights on every panel
+    [edges[j], edges[j+1]], flat and in panel order: reshaped to (panels, n),
+    row j holds panel j."""
+    edges = np.asarray(edges, dtype=float)
+    panels = max(edges.size - 1, 0)
+    if panels * n > panel_budget:
+        raise QuadratureFailure(
+            f"quadrature needs {panels * n} nodes, budget {panel_budget}")
+    x, w = _rule(n)
+    lo = edges[:-1, None]
+    h = 0.5 * np.diff(edges)[:, None]
+    return (lo + h * (x + 1.0)).ravel(), (h * w).ravel()
+
+
 def panel_nodes(a: float, b: float, breakpoints=(), n: int = 16,
                 max_panel: float | None = None, panel_budget: int = 100_000):
     """Gauss-Legendre nodes/weights on [a, b], split at interior breakpoints.
@@ -23,30 +54,5 @@ def panel_nodes(a: float, b: float, breakpoints=(), n: int = 16,
     Panels longer than ``max_panel`` are subdivided uniformly.  Returns the
     flat (nodes, weights) arrays.
     """
-    if b <= a:
-        return np.empty(0), np.empty(0)
-    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    edges: list[float] = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        parts = 1 if max_panel is None else max(1, int(np.ceil((hi - lo) / max_panel)))
-        edges.extend(np.linspace(lo, hi, parts + 1)[:-1])
-    edges.append(b)
-    if (len(edges) - 1) * n > panel_budget:
-        raise QuadratureFailure(
-            f"quadrature needs {(len(edges) - 1) * n} nodes, budget {panel_budget}")
-    x, w = _rule(n)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = 0.5 * (hi - lo)
-        nodes.append(lo + h * (x + 1.0))
-        weights.append(h * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def integrate(f, a: float, b: float, breakpoints=(), n: int = 16,
-              max_panel: float | None = None, panel_budget: int = 100_000):
-    """Integrate a (vectorized) function over [a, b]."""
-    nodes, weights = panel_nodes(a, b, breakpoints, n, max_panel, panel_budget)
-    if nodes.size == 0:
-        return 0.0
-    return np.sum(weights * np.asarray(f(nodes)))
+    return gauss_nodes(panel_edges(a, b, breakpoints, max_panel), n,
+                       panel_budget)

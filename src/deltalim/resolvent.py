@@ -69,6 +69,7 @@ class KernelEval:
     d: complex = 0j
     K: complex = 0j                   # Wronskian W(phi1, phi2) = -2*a*kappa
     x_m: float = 0.0                  # eps * M, edge of the shrunk support
+    kinks: tuple[float, ...] = ()     # eps * inner breakpoints of V: G'' jumps
     alpha: float | None = None
     lam: float | None = None
     eps: float | None = None
@@ -82,29 +83,36 @@ class KernelEval:
             raise ValueError("kernel arguments must be nonnegative")
         s = np.minimum(xs, ys).ravel()
         t = np.maximum(xs, ys).ravel()
-        k = self.kappa
-        out = np.empty(s.shape, dtype=complex)
-        ext = s >= self.x_m
-        if np.any(ext):
-            # e^{-kappa*x} kept outermost so nothing overflows for large x
-            se, te = s[ext], t[ext]
-            out[ext] = (np.exp(-k * (te - se))
-                        + (self.b / self.a) * np.exp(-k * (te + se))) / (2.0 * k)
-        inn = ~ext
-        if np.any(inn):
-            si, ti = s[inn], t[inn]
-            phi1 = self.u(si)[0]
-            # the trajectories are read only where t sits inside [0, x_m]
-            phi2 = np.exp(-k * ti)
-            mid = ti <= self.x_m
-            if np.any(mid):
-                tm = ti[mid]
-                phi2[mid] = self.c * self.v(tm)[0] + self.d * self.u(tm)[0]
-            out[inn] = phi1 * phi2 / (2.0 * self.a * k)
-        out = out.reshape(xs.shape)
+        g1, g2 = _scaled_basis(self, s, t)
+        out = (g1 * g2 * np.exp(-self.kappa * (t - s))
+               / (2.0 * self.a * self.kappa)).reshape(xs.shape)
         if np.isscalar(x) and np.isscalar(y):
             return complex(out.reshape(())[()])
         return out
+
+
+def _scaled_basis(k: KernelEval, s: np.ndarray, t: np.ndarray):
+    """Bounded kernel factors g1(s) = phi1(s)*e^{-kappa*s} and
+    g2(t) = phi2(t)*e^{kappa*t}, so that for s <= t
+
+        G_z(s, t) = g1(s) * g2(t) * e^{-kappa*(t - s)} / (2*a*kappa).
+
+    Outside, g1 = a + b*e^{-2*kappa*y} and g2 = 1; inside [0, x_m),
+    g1 = u*e^{-kappa*y} and g2 = (c*v + d*u)*e^{kappa*y}.  u is read once,
+    on the inner s and t together, and v once, on the inner t.
+    """
+    kappa = k.kappa
+    g1 = k.a + k.b * np.exp(-2.0 * kappa * s)
+    g2 = np.ones(t.shape, dtype=complex)
+    s_in, t_in = s < k.x_m, t < k.x_m
+    if np.any(s_in) or np.any(t_in):
+        si, ti = s[s_in], t[t_in]
+        u = k.u(np.concatenate((si, ti)))[0]
+        g1[s_in] = u[:si.size] * np.exp(-kappa * si)
+        if ti.size:
+            g2[t_in] = (k.c * k.v(ti)[0] + k.d * u[si.size:]) \
+                * np.exp(kappa * ti)
+    return g1, g2
 
 
 def kernel_scaled(V: Potential, lam: float, eps: float, z,
@@ -130,8 +138,9 @@ def kernel_scaled(V: Potential, lam: float, eps: float, z,
     d = -decay * (ve.derivative + kappa * ve.value) / det
     return KernelEval(kind="scaled", z=complex(z), kappa=kappa,
                       a=complex(a), b=complex(b), c=complex(c), d=complex(d),
-                      K=complex(K), x_m=x_m, lam=float(lam), eps=float(eps),
-                      u=u, v=v)
+                      K=complex(K), x_m=x_m,
+                      kinks=tuple(eps * p for p in V.breakpoints[1:-1]),
+                      lam=float(lam), eps=float(eps), u=u, v=v)
 
 
 def kernel_reference(kind: str, z, alpha: float | None = None) -> KernelEval:
@@ -165,17 +174,51 @@ def apply_resolvent(k: KernelEval, f, x_points, f_breakpoints=(),
                     panel_budget: int = 100_000):
     """(R_z f)(x) = int_0^inf G_z(x, y) f(y) dy at each x in x_points.
 
-    The quadrature splits at y = x (diagonal kink of G), at y = x_m, and at
-    f's breakpoints; f must be negligible beyond y_max.
+    G_z is separable, phi1(x ^ y) * phi2(x v y) / (2*a*kappa), so
+
+        (R_z f)(x) = [phi2(x) int_0^x phi1 f + phi1(x) int_x^y_max phi2 f]
+                     / (2*a*kappa),
+
+    and both integrals are cumulative sums over one set of Gauss-Legendre
+    panels with edges at 0, the kernel's kinks, x_m, f's breakpoints, every
+    x in [0, y_max] and y_max: O(N_x + N_y) work.  f is called once, on that
+    whole node set, and ``panel_budget`` bounds the one shared set; f must
+    be negligible beyond y_max.  The sums carry the bounded factors of
+    ``_scaled_basis`` and a decay e^{-kappa*h} per panel of width h, so
+    nothing grows like e^{kappa*y}.
     """
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
-    out = np.empty(xs.shape, dtype=complex)
-    base_cuts = (k.x_m, *f_breakpoints)
-    for i, x in enumerate(xs):
-        nodes, weights = quadrature.panel_nodes(
-            0.0, y_max, (*base_cuts, x), n, max_panel, panel_budget)
-        fy = np.asarray(f(nodes), dtype=complex)
-        out[i] = np.sum(weights * k(x, nodes) * fy)
+    if np.any(xs < 0):
+        raise ValueError("x_points must be nonnegative")
+    kappa = k.kappa
+    edges = quadrature.panel_edges(
+        0.0, y_max, (*k.kinks, k.x_m, *f_breakpoints, *xs[xs < y_max]),
+        max_panel)
+    nodes, weights = quadrature.gauss_nodes(edges, n, panel_budget)
+    g1, g2 = _scaled_basis(k, nodes, nodes)
+    wf = weights * np.asarray(f(nodes), dtype=complex)
+    y = nodes.reshape(-1, n)
+    # panel j = [e_j, e_j+1] adds e^{-kappa*e_j+1} int phi1 f to the forward
+    # sum and e^{kappa*e_j} int phi2 f to the backward one
+    fwd = np.sum((wf * g1).reshape(-1, n)
+                 * np.exp(-kappa * (edges[1:, None] - y)), axis=1).tolist()
+    bwd = np.sum((wf * g2).reshape(-1, n)
+                 * np.exp(-kappa * (y - edges[:-1, None])), axis=1).tolist()
+    decay = np.exp(-kappa * np.diff(edges)).tolist()
+    # s1[j] = e^{-kappa*e_j} int_0^e_j phi1 f and
+    # s2[j] = e^{kappa*e_j} int_e_j^y_max phi2 f
+    s1, s2 = [0j], [0j]
+    for r, p in zip(decay, fwd):
+        s1.append(r * s1[-1] + p)
+    for r, p in zip(decay[::-1], bwd[::-1]):
+        s2.append(r * s2[-1] + p)
+    s1, s2 = np.array(s1), np.array(s2[::-1])
+    # every x up to y_max is an edge; beyond it only the forward sum decays on
+    xc = np.minimum(xs, y_max)
+    j = np.searchsorted(edges, xc)
+    gx1, gx2 = _scaled_basis(k, xs, xs)
+    out = (gx2 * s1[j] * np.exp(-kappa * (xs - xc)) + gx1 * s2[j]) \
+        / (2.0 * k.a * kappa)
     if np.isscalar(x_points) or np.asarray(x_points).ndim == 0:
         return complex(out[0])
     return out

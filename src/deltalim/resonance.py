@@ -26,7 +26,6 @@ __all__ = [
     "LimitDescriptor",
     "shoot_residual",
     "find_resonances",
-    "dG_dtheta_variational",
     "robin_alpha",
     "classify_scaling",
     "resonance_membership",
@@ -178,18 +177,6 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
         hits.append(_certify(V, *bracket, root_tol, tol))
         hits.sort(key=lambda h: abs(h.theta))
     return hits[:keep]
-
-
-def dG_dtheta_variational(V: Potential, theta: float,
-                          tol: float = 1e-12) -> float:
-    """Independent route to ResonanceHit.dG_dtheta: solve the variational
-    system for g = d(psi)/d(theta) alongside psi and return g'(M)."""
-
-    def rhs(x, y):
-        v = V(x)
-        return [y[1], theta * v * y[0], y[3], theta * v * y[2] + v * y[0]]
-
-    return float(march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol)[1][3])
 
 
 def robin_alpha(V: Potential, hit: ResonanceHit, omega: float) -> float:

@@ -121,9 +121,8 @@ def test_weighted_square_integral_closed_form():
     closed = airy.linear_weighted_square_integral(xi, theta)
     V = potential.linear(xi)
     traj = ode.solve_psi(V, theta, tol=1e-12)
-    direct = quadrature.integrate(
-        lambda x: V(x) * np.real(traj(x)[0]) ** 2, 0.0, 1.0, n=20,
-        max_panel=0.25)
+    nodes, weights = quadrature.panel_nodes(0.0, 1.0, n=20, max_panel=0.25)
+    direct = np.sum(weights * V(nodes) * np.real(traj(nodes)[0]) ** 2)
     assert closed == pytest.approx(direct, rel=1e-9)
 
 

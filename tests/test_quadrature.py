@@ -5,26 +5,31 @@ from deltalim import quadrature
 from deltalim.errors import QuadratureFailure
 
 
+def _weighted_sum(f, a, b, **kwargs):
+    nodes, weights = quadrature.panel_nodes(a, b, **kwargs)
+    return np.sum(weights * np.asarray(f(nodes)))
+
+
 def test_polynomial_exactness():
     # n-point Gauss-Legendre is exact to degree 2n-1
-    val = quadrature.integrate(lambda x: x ** 7 - 3 * x ** 2 + 1, 0.0, 2.0, n=4)
+    val = _weighted_sum(lambda x: x ** 7 - 3 * x ** 2 + 1, 0.0, 2.0, n=4)
     exact = 2.0 ** 8 / 8 - 2.0 ** 3 + 2.0
     assert val == pytest.approx(exact, rel=1e-14)
 
 
 def test_breakpoint_split_handles_jump():
     f = lambda x: np.where(x < 1.0, 1.0, 3.0)
-    val = quadrature.integrate(f, 0.0, 2.0, breakpoints=(1.0,), n=8)
+    val = _weighted_sum(f, 0.0, 2.0, breakpoints=(1.0,), n=8)
     assert val == pytest.approx(4.0, rel=1e-14)
 
 
 def test_max_panel_subdivision():
-    val = quadrature.integrate(np.sin, 0.0, 20.0, n=8, max_panel=0.5)
+    val = _weighted_sum(np.sin, 0.0, 20.0, n=8, max_panel=0.5)
     assert val == pytest.approx(1.0 - np.cos(20.0), rel=1e-12)
 
 
 def test_empty_interval():
-    assert quadrature.integrate(np.exp, 1.0, 1.0) == 0.0
+    assert _weighted_sum(np.exp, 1.0, 1.0) == 0.0
 
 
 def test_budget_exceeded():
@@ -38,3 +43,25 @@ def test_nodes_respect_interior_breakpoints_only():
                                             n=4)
     assert nodes.size == 8          # 7.0 lies outside and is ignored
     assert weights.sum() == pytest.approx(1.0)
+
+
+def test_edges_hold_every_cut_exactly():
+    cuts = (0.1, 1 / 3, 2.0000000001, 5.0, -1.0)
+    edges = quadrature.panel_edges(0.0, 2.5, cuts, max_panel=0.4)
+    assert edges[0] == 0.0 and edges[-1] == 2.5
+    assert np.all(np.diff(edges) > 0) and np.all(np.diff(edges) <= 0.4)
+    assert set(cuts[:3]) <= set(edges.tolist())
+    assert quadrature.panel_edges(1.0, 1.0).size == 0
+
+
+def test_nodes_grouped_by_panel():
+    edges = quadrature.panel_edges(0.0, 3.0, (0.25, 1.0), max_panel=0.5)
+    nodes, weights = quadrature.gauss_nodes(edges, n=5)
+    rows, w = nodes.reshape(-1, 5), weights.reshape(-1, 5)
+    assert np.all(rows.min(axis=1) > edges[:-1])
+    assert np.all(rows.max(axis=1) < edges[1:])
+    assert np.allclose(w.sum(axis=1), np.diff(edges), rtol=1e-14, atol=0.0)
+    flat = quadrature.panel_nodes(0.0, 3.0, (0.25, 1.0), 5, 0.5)
+    assert np.array_equal(flat[0], nodes) and np.array_equal(flat[1], weights)
+    with pytest.raises(QuadratureFailure):
+        quadrature.gauss_nodes(edges, n=5, panel_budget=5 * edges.size - 6)

@@ -1,10 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from deltalim import ode, potential, resolvent
-from deltalim.errors import SingularWronskian
+from deltalim import ode, potential, quadrature, resolvent
+from deltalim.errors import QuadratureFailure, SingularWronskian
 from deltalim.resonance import ScalingLaw
 
 THETA0 = -np.pi ** 2 / 4
@@ -275,3 +276,137 @@ def test_kernel_inner_formulas(small_kernel):
         phi2 = kern.c * kern.v(t)[0] + kern.d * kern.u(t)[0]
         want = kern.u(s)[0] * phi2 / norm
         assert abs(kern(s, t) - want) < 1e-14
+
+
+def _apply_per_x(k, f, x_points, f_breakpoints=(),
+                 y_max=resolvent.DEFAULT_Y_MAX, n=resolvent.QUAD_NODES,
+                 max_panel=resolvent.QUAD_MAX_PANEL):
+    """Reference route: fresh panels split at x, the kernel's kinks, x_m and
+    f's breakpoints for every x, with the kernel read on each node
+    (O(N_x * N_y) work)."""
+    out = []
+    for x in x_points:
+        nodes, weights = quadrature.panel_nodes(
+            0.0, y_max, (*k.kinks, k.x_m, *f_breakpoints, x), n, max_panel)
+        out.append(np.sum(weights * k(x, nodes) * f(nodes)))
+    return np.array(out)
+
+
+def _indicator(y):
+    return ((y >= 1.0) & (y <= 2.0)).astype(float)
+
+
+def _two_piece():
+    return potential.piecewise((0.0, 0.4, 1.0), [(1.0, -2.0, 0.5, 0.0),
+                                                 (-1.5, 0.3, 0.0, 0.2)])
+
+
+def _x_points(x_m, y_max):
+    # below, at and above x_m, on f's breakpoints, at and beyond y_max
+    return np.array([0.0, 0.3 * x_m, x_m, 1.7 * x_m, 0.5, 1.0, 1.37, 2.0,
+                     0.9 * y_max, y_max, y_max + 0.7, 60.0])
+
+
+def _assert_matches_per_x(kern, f, f_breakpoints, y_max):
+    xs = _x_points(kern.x_m, y_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = resolvent.apply_resolvent(kern, f, xs, f_breakpoints,
+                                        y_max=y_max)
+    want = _apply_per_x(kern, f, xs, f_breakpoints, y_max=y_max)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("make_V", [potential.square,
+                                    lambda: potential.linear(0.6),
+                                    _two_piece],
+                         ids=["square", "linear", "two_piece"])
+@pytest.mark.parametrize("lam, eps, z", [(-2467.4, 0.01, 0.5 + 1j),
+                                         (-3000.0, 0.1, -1 + 0.5j),
+                                         (5.0, 0.3, 0.5 + 1j)])
+def test_separable_route_matches_per_x(make_V, lam, eps, z):
+    kern = resolvent.kernel_scaled(make_V(), lam, eps, z)
+    _assert_matches_per_x(kern, _indicator, (1.0, 2.0), 2.5)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "robin"])
+@pytest.mark.parametrize("z", [1j, -400 + 1j])
+def test_separable_route_matches_per_x_reference(kind, z):
+    kern = resolvent.kernel_reference(kind, z,
+                                      alpha=0.7 if kind == "robin" else None)
+    _assert_matches_per_x(kern, _indicator, (1.0, 2.0), 2.5)
+    _assert_matches_per_x(kern, lambda y: np.exp(-y), (), 50.0)
+
+
+@pytest.mark.parametrize("make_V", [potential.square, _two_piece])
+def test_separable_route_large_decay_no_overflow(make_V):
+    # Re kappa * y_max is about 1000: an unscaled e^{kappa*y} overflows
+    kern = resolvent.kernel_scaled(make_V(), -2467.4, 0.01, -400 + 1j)
+    _assert_matches_per_x(kern, lambda y: np.exp(-y), (), 50.0)
+
+
+def test_apply_resolvent_scalar_and_domain(small_kernel):
+    f = lambda y: np.exp(-y)
+    one = resolvent.apply_resolvent(small_kernel, f, 0.7, y_max=5.0)
+    assert type(one) is complex
+    many = resolvent.apply_resolvent(small_kernel, f, [0.2, 0.7], y_max=5.0)
+    assert abs(one - many[1]) <= 1e-13 * abs(one)
+    with pytest.raises(ValueError):
+        resolvent.apply_resolvent(small_kernel, f, [0.5, -0.1])
+
+
+def test_panel_budget_bounds_the_shared_node_set(small_kernel):
+    f = lambda y: np.exp(-y)
+    # each x alone fits the budget; the node set shared by 600 x does not
+    resolvent.apply_resolvent(small_kernel, f, 1.0, panel_budget=5000)
+    with pytest.raises(QuadratureFailure):
+        resolvent.apply_resolvent(small_kernel, f, np.linspace(0.0, 2.0, 600),
+                                  panel_budget=5000)
+
+
+def test_apply_resolvent_reads_basis_once_per_point_set(monkeypatch,
+                                                        small_kernel):
+    def refuse(self, x, y):
+        raise AssertionError("kernel evaluated pointwise")
+
+    reads, f_calls = [], []
+    read = ode.Trajectory.__call__
+
+    def counting(self, x):
+        reads.append(np.size(x))
+        return read(self, x)
+
+    def f(y):
+        f_calls.append(y.size)
+        return np.exp(-y)
+
+    monkeypatch.setattr(resolvent.KernelEval, "__call__", refuse)
+    monkeypatch.setattr(ode.Trajectory, "__call__", counting)
+    counts = []
+    for n_x in (10, 200):
+        reads.clear()
+        f_calls.clear()
+        # x = 0 lies inside x_m, so both point sets read the basis
+        resolvent.apply_resolvent(small_kernel, f, np.linspace(0.0, 3.0, n_x),
+                                  y_max=3.5)
+        counts.append(len(reads))
+        assert len(f_calls) == 1
+    assert counts[0] == counts[1] > 0
+
+
+def test_kinks_are_scaled_inner_breakpoints():
+    kern = resolvent.kernel_scaled(_two_piece(), -2467.4, 0.01, -400 + 1j)
+    assert kern.kinks == pytest.approx((0.004,), rel=1e-15)
+    square = resolvent.kernel_scaled(potential.square(), -30.0, 0.1, 1j)
+    assert square.kinks == ()
+    # u'' jumps at the kink; a panel across it loses about 8 digits here
+    xs = _x_points(kern.x_m, 50.0)
+    f = lambda y: np.exp(-y)
+    blind = dataclasses.replace(kern, kinks=())
+    fine = resolvent.apply_resolvent(blind, f, xs, np.linspace(0.0, 0.01, 41))
+    got = resolvent.apply_resolvent(kern, f, xs)
+    coarse = resolvent.apply_resolvent(blind, f, xs)
+    scale = np.max(np.abs(fine))
+    assert np.max(np.abs(got - fine)) <= 1e-12 * scale
+    assert np.max(np.abs(coarse - fine)) > 1e-10 * scale
