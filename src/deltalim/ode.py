@@ -119,7 +119,7 @@ def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
         if not sol.success or not np.all(np.isfinite(sol.y)):
             raise NonConvergence(f"integration failed on [{lo}, {hi}]: {sol.message}")
         segments.append((lo, hi, sol.sol))
-        y = sol.y[:, -1]
+        y = sol.y[:, -1].copy()
     return segments, y
 
 

@@ -39,6 +39,7 @@ __all__ = [
 WRONSKIAN_FLOOR = 1e-14
 QUAD_NODES = 20
 QUAD_MAX_PANEL = 0.5
+DECAY_PANEL = 50.0        # widest panel in units of 1/Re kappa
 DEFAULT_Y_MAX = 50.0
 
 
@@ -181,7 +182,8 @@ def apply_resolvent(k: KernelEval, f, x_points, f_breakpoints=(),
 
     and both integrals are cumulative sums over one set of Gauss-Legendre
     panels with edges at 0, the kernel's kinks, x_m, f's breakpoints, every
-    x in [0, y_max] and y_max: O(N_x + N_y) work.  f is called once, on that
+    x in [0, y_max] and y_max, no panel wider than max_panel or
+    DECAY_PANEL/Re kappa: O(N_x + N_y) work.  f is called once, on that
     whole node set, and ``panel_budget`` bounds the one shared set; f must
     be negligible beyond y_max.  The sums carry the bounded factors of
     ``_scaled_basis`` and a decay e^{-kappa*h} per panel of width h, so
@@ -193,7 +195,7 @@ def apply_resolvent(k: KernelEval, f, x_points, f_breakpoints=(),
     kappa = k.kappa
     edges = quadrature.panel_edges(
         0.0, y_max, (*k.kinks, k.x_m, *f_breakpoints, *xs[xs < y_max]),
-        max_panel)
+        min(max_panel, DECAY_PANEL / kappa.real))
     nodes, weights = quadrature.gauss_nodes(edges, n, panel_budget)
     g1, g2 = _scaled_basis(k, nodes, nodes)
     wf = weights * np.asarray(f(nodes), dtype=complex)

@@ -85,8 +85,10 @@ def shoot_residual(V: Potential, theta: float, tol: float = DEFAULT_TOL):
 def _scan_slopes(V: Potential, thetas: np.ndarray, tol: float) -> np.ndarray:
     """psi'(M) for a whole grid of couplings in one stacked integration.
 
-    The scan only needs signs, so the couplings share adaptive steps; each
-    bracket is re-solved at full accuracy during certification."""
+    The couplings share adaptive steps, so no single value is bound to
+    ``tol``.  Certification reads a bracket's two values only to seed Brent's
+    first step and fix its signs; every coupling Brent evaluates is a scalar
+    shot at full accuracy."""
     n = thetas.size
 
     def rhs(x, y):
@@ -111,17 +113,28 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
              tol: float, known=None) -> ResonanceHit:
     """Refine a sign-change bracket by Brent's method to width
     root_tol*(1+|theta|)/4 and assemble the certified hit.  ``known`` maps
-    couplings already shot at ``tol`` to their psi'(M), so the bracket ends
-    are not shot again."""
+    couplings already evaluated (the bracket ends) to their psi'(M), so they
+    are not shot again; every other coupling is one dense shot at ``tol``.
+    Brent returns a coupling it has evaluated, so the hit keeps that shot
+    and solves again only when the root is a ``known`` end."""
     known = known or {}
+    shots = {}
 
     def slope(t):
-        return known[t] if t in known else shoot_residual(V, t, tol)[1]
+        if t in known:
+            return known[t]
+        shots[t] = solve_psi(V, t, 0.0, 0.0, tol)
+        return float(np.real(shots[t].endpoint.derivative))
 
     theta = brentq(slope, a, b,
                    xtol=0.25 * root_tol,
                    rtol=max(0.25 * root_tol, 4 * np.finfo(float).eps))
-    traj = solve_psi(V, theta, 0.0, 0.0, tol)
+    # brentq's wrapper of ``slope`` lives until the cyclic collector runs:
+    # empty the cache so only the hit's trajectory outlives this call
+    traj = shots.pop(theta, None)
+    shots.clear()
+    if traj is None:
+        traj = solve_psi(V, theta, 0.0, 0.0, tol)
     psi_m = float(np.real(traj.endpoint.value))
     residual = abs(float(np.real(traj.endpoint.derivative)))
     if abs(psi_m) <= 1e-8 * (1.0 + abs(theta)):
@@ -163,18 +176,20 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
     grid = np.linspace(lo, hi, grid_cells + 1)
     vals = _scan_slopes(V, grid, max(tol, 1e-9))
 
-    def nearest(bracket):
-        a, b = bracket
+    def nearest(i):
+        a, b = grid[i], grid[i + 1]
         return 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
 
     cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     keep = cells.size if max_hits is None else max_hits
     hits = []
-    for bracket in sorted(zip(grid[cells], grid[cells + 1]), key=nearest):
+    for i in sorted(cells, key=nearest):
         if len(hits) >= keep and (
-                not hits or nearest(bracket) >= abs(hits[keep - 1].theta)):
+                not hits or nearest(i) >= abs(hits[keep - 1].theta)):
             break
-        hits.append(_certify(V, *bracket, root_tol, tol))
+        a, b = grid[i], grid[i + 1]
+        hits.append(_certify(V, a, b, root_tol, tol,
+                             {a: vals[i], b: vals[i + 1]}))
         hits.sort(key=lambda h: abs(h.theta))
     return hits[:keep]
 

@@ -346,6 +346,22 @@ def test_separable_route_large_decay_no_overflow(make_V):
     _assert_matches_per_x(kern, lambda y: np.exp(-y), (), 50.0)
 
 
+@pytest.mark.parametrize("kind", ["scaled", "dirichlet"])
+def test_panels_resolve_a_fast_decay(kind):
+    # Re kappa = 1000: a panel of the default width 0.5 spans e^{-500}, and
+    # its 20 nodes miss the peak of e^{-kappa|x-y|} at y = x (21% off)
+    z = -1e6 + 1j
+    kern = (resolvent.kernel_scaled(potential.square(), -2467.4, 0.01, z)
+            if kind == "scaled" else resolvent.kernel_reference(kind, z))
+    f = lambda y: np.exp(-y)
+    xs = np.array([0.003, 0.5, 1.0, 2.0])
+    got = resolvent.apply_resolvent(kern, f, xs, y_max=2.5)
+    fine = resolvent.apply_resolvent(kern, f, xs, y_max=2.5, max_panel=5e-4)
+    assert np.max(np.abs(got - fine) / np.abs(fine)) <= 1e-10
+    # for |z| large, (R_z f)(x) is f(x)/(-z) up to O(|z|^-2)
+    assert abs(got[2]) == pytest.approx(np.exp(-1.0) / abs(z), rel=1e-5)
+
+
 def test_apply_resolvent_scalar_and_domain(small_kernel):
     f = lambda y: np.exp(-y)
     one = resolvent.apply_resolvent(small_kernel, f, 0.7, y_max=5.0)

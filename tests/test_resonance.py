@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -178,12 +181,45 @@ def test_residual_gate_scales_with_theta(monkeypatch):
 
 
 def test_certify_shoot_budget(monkeypatch):
-    shoots = _count_calls(monkeypatch, resonance, "shoot_residual")
+    # the scan's values seed Brent's method and the hit keeps the last shot:
+    # only the couplings Brent evaluates are integrated
+    shoots = _count_calls(monkeypatch, resonance, "solve_psi")
     hits = resonance.find_resonances(potential.square(), (-150.0, -100.0),
                                      root_tol=1e-8)
     exact = -(3.5 * np.pi) ** 2
     assert [h.theta for h in hits] == [pytest.approx(exact, rel=1e-9)]
-    assert len(shoots) <= 8
+    assert len(shoots) <= 3
+
+
+def test_scan_integrates_no_coupling_twice(monkeypatch):
+    shoots = _count_calls(monkeypatch, resonance, "solve_psi")
+    hits = resonance.find_resonances(potential.square(), (-2000.0, -30.0))
+    assert len(hits) == 12
+    thetas = [args[1] for args in shoots]
+    assert len(set(thetas)) == len(thetas)
+
+
+def test_certify_keeps_only_the_hits_trajectories(monkeypatch):
+    # brentq's wrapper of the objective is a reference cycle: a shot cached
+    # there lives until the cyclic collector runs, so none may be left in it
+    refs = []
+    shoot = resonance.solve_psi
+
+    def tracked(*args, **kwargs):
+        traj = shoot(*args, **kwargs)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(resonance, "solve_psi", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        hits = resonance.find_resonances(potential.square(), (-500.0, -0.5))
+        alive = {id(r()) for r in refs if r() is not None}
+    finally:
+        gc.enable()
+    assert len(hits) == 7 and len(refs) > len(hits)
+    assert alive == {id(h.trajectory) for h in hits}
 
 
 def test_max_hits_certifies_only_what_it_returns(monkeypatch):
@@ -210,8 +246,9 @@ def test_max_hits_straddling_zero_keeps_the_nearest(monkeypatch):
 
 
 def test_membership_shoots_no_coupling_twice(monkeypatch):
-    # the bracket ends shot for the sign test are handed to Brent's method
-    shoots = _count_calls(monkeypatch, resonance, "shoot_residual")
+    # the bracket ends shot for the sign test are handed to Brent's method,
+    # and the hit keeps the trajectory of the coupling Brent returns
+    shoots = _count_calls(monkeypatch, resonance, "solve_psi")
     for theta in (-np.pi ** 2 / 4 + 1e-8, -(1.5 * np.pi) ** 2 * (1 + 3e-7)):
         shoots.clear()
         hit = resonance.resonance_membership(potential.square(), theta, 1e-6)
