@@ -4,10 +4,12 @@ Solves -psi'' + (theta*V - gamma*z)*psi = 0 on [0, M] with adaptive
 high-order Runge-Kutta stepping (DOP853), restarting at every breakpoint of V
 so that coefficient discontinuities never sit inside a step.  ``march`` is
 the one such integrator: shooting, the interior basis (u, v) and the
-stacked coupling scan differ only in the right-hand side and initial state
+stacked endpoint shots differ only in the right-hand side and initial state
 they hand it.  Small-range solves at scale eps are always
 routed through the rescaling u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps),
 which keeps the integrated problem O(1) in the regime |lambda| = O(eps^-2).
+Along a critical schedule eps^2*lambda(eps) = theta + omega*eps, so the
+bases of a whole eps sequence are marched together, on one set of steps.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ __all__ = [
     "ScaledTrajectory",
     "march",
     "solve_psi",
-    "solve_u",
     "solve_uv",
     "DEFAULT_TOL",
 ]
@@ -124,12 +125,14 @@ def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
 
 
 def _energy_and_state(gamma, z, y0):
-    """gamma*z and the initial state, both complex only for a nonreal
-    energy, so that real problems integrate in real arithmetic."""
-    gz = gamma * z
-    if np.iscomplexobj(np.asarray(gz)) and np.imag(gz) != 0.0:
-        return complex(gz), np.asarray(y0, dtype=complex)
-    return float(np.real(gz)), np.asarray(y0, dtype=float)
+    """gamma*z (scalar or per coupling) and the initial state, both complex
+    only for a nonreal energy, so that real problems integrate in real
+    arithmetic.  A scalar gamma*z is a Python number: scalar right-hand
+    sides are faster without numpy scalars."""
+    gz = np.multiply(gamma, z)
+    if not np.any(np.imag(gz)):
+        gz = np.real(gz)
+    return (gz.item() if gz.ndim == 0 else gz), np.asarray(y0, dtype=gz.dtype)
 
 
 def solve_psi(V: Potential, theta: float, gamma: float = 0.0, z=0.0,
@@ -143,35 +146,36 @@ def solve_psi(V: Potential, theta: float, gamma: float = 0.0, z=0.0,
     return Trajectory(*march(V, rhs, y0, tol, dense=True))
 
 
-def solve_u(V: Potential, lam: float, eps: float, z,
-            tol: float = DEFAULT_TOL) -> ScaledTrajectory:
-    """Interior solution u on [0, eps*M] with u(0)=0, u'(0)=1, computed on the
-    fixed domain [0, M] via the rescaling identity."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    base = solve_psi(V, eps * eps * lam, eps * eps, z, tol)
-    return ScaledTrajectory(base, eps, eps, 1.0)
+def solve_uv(V: Potential, lam, eps, z, tol: float = DEFAULT_TOL):
+    """Interior basis (u, v) on [0, eps*M]: u(0)=0, u'(0)=1 and v(0)=1,
+    v'(0)=0, so W(u, v) = -1.
 
-
-def solve_uv(V: Potential, lam: float, eps: float, z,
-             tol: float = DEFAULT_TOL):
-    """Interior basis (u, v) on [0, eps*M]: u(0)=0, u'(0)=1 as in solve_u and
-    v(0)=1, v'(0)=0, so W(u, v) = -1.
-
-    Both come from one march of (psi, psi', psi~, psi~') at theta =
+    Both come from a march of (psi, psi', psi~, psi~') at theta =
     eps^2*lam, gamma = eps^2, and read its segments as two rescaled views:
     u(x) = eps*psi(x/eps) and v(x) = psi~(x/eps), whose slope is divided by
-    eps instead.
+    eps instead.  For sequences lam and eps, every pair (lam_k, eps_k) is
+    one block of four rows of a single stacked march, and the result is the
+    list of their (u, v); each view reads its own rows of the shared
+    segments.  The pairs share adaptive steps, so the error control is over
+    all of them together.
     """
-    if eps <= 0:
+    lams, epss = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                     np.asarray(eps, dtype=float))
+    if np.any(epss <= 0):
         raise ValueError("eps must be positive")
-    theta = eps * eps * lam
-    gz, y0 = _energy_and_state(eps * eps, z, (0.0, 1.0, 1.0, 0.0))
+    epss = np.atleast_1d(epss)
+    theta = np.repeat(epss * epss * np.atleast_1d(lams), 2)   # per (value, slope) pair
+    gz, y0 = _energy_and_state(np.repeat(epss * epss, 2), z,
+                               np.tile((0.0, 1.0, 1.0, 0.0), epss.size))
 
     def rhs(x, y):
-        q = theta * V(x) - gz
-        return [y[1], q * y[0], y[3], q * y[2]]
+        dy = np.empty_like(y)
+        dy[0::2] = y[1::2]
+        dy[1::2] = (theta * V(x) - gz) * y[0::2]
+        return dy
 
     segments, y_end = march(V, rhs, y0, tol, dense=True)
-    return (ScaledTrajectory(Trajectory(segments, y_end, 0), eps, eps, 1.0),
-            ScaledTrajectory(Trajectory(segments, y_end, 2), eps, 1.0, eps))
+    bases = [(ScaledTrajectory(Trajectory(segments, y_end, 4 * k), e, e, 1.0),
+              ScaledTrajectory(Trajectory(segments, y_end, 4 * k + 2), e, 1.0, e))
+             for k, e in enumerate(epss.tolist())]
+    return bases[0] if lams.ndim == 0 else bases

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import quadrature
 from .errors import SingularWronskian
-from .ode import DEFAULT_TOL, solve_u, solve_uv
+from .ode import DEFAULT_TOL, solve_uv
 from .potential import Potential
-from .resonance import ScalingLaw, classify_scaling
+from .resonance import ScalingLaw, _scan_slopes, classify_scaling
 
 __all__ = [
     "KernelEval",
@@ -120,7 +120,12 @@ def kernel_scaled(V: Potential, lam: float, eps: float, z,
                   tol: float = DEFAULT_TOL) -> KernelEval:
     """Assembled kernel of -d^2 + lam*V(./eps) - z on the half-line."""
     kappa = decay_rate(z)
-    u, v = solve_uv(V, lam, eps, z, tol)
+    return _matched_kernel(V, lam, eps, z, kappa, *solve_uv(V, lam, eps, z, tol))
+
+
+def _matched_kernel(V: Potential, lam: float, eps: float, z, kappa: complex,
+                    u, v) -> KernelEval:
+    """The scaled kernel of an interior basis (u, v) on [0, eps*M]."""
     x_m = u.x_end
     ue, ve = u.endpoint, v.endpoint
     decay = np.exp(-kappa * x_m)
@@ -251,10 +256,13 @@ def estimate_alpha(V: Potential, theta: float, omega: float, eps_list,
     """Robin parameter along the critical schedule, by extrapolating the
     boundary ratio alpha_eps = u'(x_m)/u(x_m) at zero energy to eps -> 0.
 
-    The ratio has an O(eps) leading error (whence Richardson/Neville in eps);
-    theta must sit on a certified resonance for the sequence to converge.
-    The default tol is tighter than elsewhere because extrapolation amplifies
-    integration noise at the smallest eps.
+    At zero energy u(x) = eps*psi(x/eps) with psi the shooting solution at
+    the coupling eps^2*lambda(eps) = theta + omega*eps, so alpha_eps =
+    psi'(M)/(eps*psi(M)); every eps is one coupling of a single stacked
+    endpoint march.  The ratio has an O(eps) leading error (whence
+    Richardson/Neville in eps); theta must sit on a certified resonance for
+    the sequence to converge.  The default tol is tighter than elsewhere
+    because extrapolation amplifies integration noise at the smallest eps.
     """
     eps = np.asarray([float(e) for e in eps_list])
     if eps.size < 3:
@@ -262,11 +270,9 @@ def estimate_alpha(V: Potential, theta: float, omega: float, eps_list,
     if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise ValueError("eps_list must be positive and strictly decreasing")
     law = ScalingLaw(theta=theta, omega=omega)
-    vals = []
-    for e in eps:
-        end = solve_u(V, law.coupling(e), e, 0.0, tol).endpoint
-        vals.append(float(np.real(end.derivative / end.value)))
-    vals = np.asarray(vals)
+    thetas = np.array([e * e * law.coupling(e) for e in eps])
+    psi_m, dpsi_m = _scan_slopes(V, thetas, tol)
+    vals = dpsi_m / (eps * psi_m)
     extrap = _neville_at_zero(eps, vals)
     gaps = np.abs(vals - extrap)
     mask = gaps > 1e-14
@@ -292,7 +298,11 @@ def convergence_study(V: Potential, law: ScalingLaw, z, f, eps_list, x_grid,
                       f_breakpoints=(), tol: float = DEFAULT_TOL,
                       y_max: float = DEFAULT_Y_MAX) -> list[ConvergenceRow]:
     """Discrete L^2 error of the scaled resolvent against the limit selected
-    by classify_scaling, for each eps in eps_list."""
+    by classify_scaling, for each eps in eps_list.
+
+    The interior bases of every eps come from one stacked march (the scaled
+    couplings eps^2*lambda(eps) differ by O(eps), so they share its steps);
+    each eps then matches its own kernel to the exterior."""
     xs = np.asarray(x_grid, dtype=float)
     limit = classify_scaling(V, law)
     if limit.kind == "robin":
@@ -300,13 +310,15 @@ def convergence_study(V: Potential, law: ScalingLaw, z, f, eps_list, x_grid,
     else:
         ref = kernel_reference("dirichlet", z)
     ref_vals = apply_resolvent(ref, f, xs, f_breakpoints, y_max=y_max)
+    eps = list(eps_list)
+    lams = [law.coupling(e) for e in eps]
+    bases = solve_uv(V, lams, eps, z, tol)
     rows = []
-    for e in eps_list:
-        lam = law.coupling(e)
-        kern = kernel_scaled(V, lam, e, z, tol)
+    for e, lam, (u, v) in zip(eps, lams, bases):
+        kern = _matched_kernel(V, lam, e, z, ref.kappa, u, v)
         vals = apply_resolvent(kern, f, xs, f_breakpoints, y_max=y_max)
         err = float(np.sqrt(np.trapezoid(np.abs(vals - ref_vals) ** 2, xs)))
-        end = kern.u.endpoint
+        end = u.endpoint
         alpha_e = float(np.real(end.derivative / end.value))
         rows.append(ConvergenceRow(epsilon=float(e), lam=float(lam),
                                    error_L2=err, alpha_estimate=alpha_e,

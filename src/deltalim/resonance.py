@@ -82,8 +82,9 @@ def shoot_residual(V: Potential, theta: float, tol: float = DEFAULT_TOL):
     return float(np.real(end.value)), float(np.real(end.derivative))
 
 
-def _scan_slopes(V: Potential, thetas: np.ndarray, tol: float) -> np.ndarray:
-    """psi'(M) for a whole grid of couplings in one stacked integration.
+def _scan_slopes(V: Potential, thetas: np.ndarray, tol: float):
+    """Endpoint data (psi(M), psi'(M)) of the zero-energy shooting solution
+    for a whole array of couplings, in one stacked non-dense integration.
 
     The couplings share adaptive steps, so no single value is bound to
     ``tol``.  Certification reads a bracket's two values only to seed Brent's
@@ -96,7 +97,8 @@ def _scan_slopes(V: Potential, thetas: np.ndarray, tol: float) -> np.ndarray:
         return np.concatenate([y[n:], (thetas * v) * y[:n]])
 
     y0 = np.concatenate([np.zeros(n), np.ones(n)])
-    return march(V, rhs, y0, tol)[1][n:]
+    y = march(V, rhs, y0, tol)[1]
+    return y[:n], y[n:]
 
 
 def _profile_integrals(V: Potential, traj: Trajectory):
@@ -174,7 +176,7 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
     if not lo < hi:
         raise ValueError("empty theta range")
     grid = np.linspace(lo, hi, grid_cells + 1)
-    vals = _scan_slopes(V, grid, max(tol, 1e-9))
+    vals = _scan_slopes(V, grid, max(tol, 1e-9))[1]
 
     def nearest(i):
         a, b = grid[i], grid[i + 1]
@@ -207,12 +209,13 @@ def resonance_membership(V: Potential, theta: float, tol: float = 1e-6,
 
     Looks for a sign change of psi'(M) in a sequence of growing brackets
     around theta (the resonant set is discrete, so a tight local bracket
-    decides membership)."""
+    decides membership).  The ends of all the brackets are shot in one
+    stacked march at ``ode_tol``; they fix the signs and seed Brent, and
+    every coupling Brent evaluates is a scalar shot."""
     half = tol * (1.0 + abs(theta))
-    for widen in (1.0, 4.0, 16.0):
-        a, b = theta - widen * half, theta + widen * half
-        fa = shoot_residual(V, a, ode_tol)[1]
-        fb = shoot_residual(V, b, ode_tol)[1]
+    brackets = [(theta - w * half, theta + w * half) for w in (1.0, 4.0, 16.0)]
+    slopes = _scan_slopes(V, np.ravel(brackets), ode_tol)[1].reshape(-1, 2)
+    for (a, b), (fa, fb) in zip(brackets, slopes.tolist()):
         if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
             hit = _certify(V, a, b, max(1e-10, tol * 1e-2), ode_tol,
                            {a: fa, b: fb})

@@ -157,21 +157,14 @@ def test_fifteen_significant_digits(tmp_path):
     assert len(first.lstrip("-").replace(".", "")) >= 15
 
 
-def test_scan_xi_zero_solves_the_ode(tmp_path, monkeypatch):
+def test_scan_xi_zero_solves_the_ode(tmp_path, count_calls):
     from deltalim import resonance
-    calls = []
-    inner = resonance.resonance_membership
-
-    def counting(V, theta, *args):
-        calls.append(V.xi)
-        return inner(V, theta, *args)
-
-    monkeypatch.setattr(resonance, "resonance_membership", counting)
+    calls = count_calls(resonance, "resonance_membership")
     out = tmp_path / "scan.csv"
     run_ok(["scan-xi", "--xi", "0", "--theta-range", "-60:-0.1",
             "--max", "2", "-o", str(out)])
     _, rows = cli.read_table(out)
-    assert calls == [0.0, 0.0]
+    assert [args[0].xi for args in calls] == [0.0, 0.0]
     for row, k in zip(rows, (0.5, 1.5)):
         exact = -(np.pi * k) ** 2
         assert row[1] == pytest.approx(exact, rel=1e-12)

@@ -71,7 +71,7 @@ def test_linearity_in_initial_data():
 def test_scaling_identity_against_direct_integration():
     # u(x) = eps * psi_{eps^2 lam, eps^2}(x/eps) solves the unscaled problem
     V, lam, eps, z = potential.square(), -30.0, 0.3, 1.0j
-    u = ode.solve_u(V, lam, eps, z, tol=1e-12)
+    u, _ = ode.solve_uv(V, lam, eps, z, tol=1e-12)
 
     def rhs(x, y):
         return [y[1], (lam * V(x / eps) - z) * y[0]]
@@ -114,7 +114,7 @@ def test_invalid_tol():
 
 def test_invalid_eps():
     with pytest.raises(ValueError):
-        ode.solve_u(potential.square(), -1.0, 0.0, 1.0j)
+        ode.solve_uv(potential.square(), -1.0, 0.0, 1.0j)
 
 
 def test_scaled_views_wronskian_and_endpoints():
@@ -131,11 +131,13 @@ def test_scaled_views_wronskian_and_endpoints():
     assert abs(ue.value * ve.derivative - ue.derivative * ve.value + 1.0) < 1e-9
 
 
-def test_basis_u_matches_solve_u():
+def test_basis_u_matches_rescaled_shot():
     # the u view reads rows (0, 1) of the basis march; rows (2, 3) are v,
-    # whose value starts at 1 and whose slope is scaled the other way
+    # whose value starts at 1 and whose slope is scaled the other way.
+    # Alone, u is eps*psi(x/eps) with psi shot at (eps^2*lam, eps^2)
     V, lam, eps, z = potential.linear(0.6), -30.0, 0.1, 0.5 + 1.0j
-    u_alone = ode.solve_u(V, lam, eps, z, tol=1e-12)
+    u_alone = ode.ScaledTrajectory(
+        ode.solve_psi(V, eps * eps * lam, eps * eps, z, tol=1e-12), eps, eps, 1.0)
     u, _ = ode.solve_uv(V, lam, eps, z, tol=1e-12)
     xs = np.linspace(0.0, eps, 11)
     for got, want in zip(u(xs), u_alone(xs)):
@@ -144,6 +146,43 @@ def test_basis_u_matches_solve_u():
     assert end.x == ref.x
     assert abs(end.value - ref.value) < 1e-10
     assert abs(end.derivative - ref.derivative) < 1e-10
+
+
+def _two_piece():
+    return potential.piecewise((0.0, 0.4, 1.0),
+                               [(1.0, -2.0, 0.0, 0.0), (0.5, 0.0, 1.0, 0.0)])
+
+
+@pytest.mark.parametrize("z", [0.5 + 1.0j, -2.0], ids=["nonreal", "real"])
+@pytest.mark.parametrize("make_V, theta", [
+    (potential.square, -np.pi ** 2 / 4),
+    (lambda: potential.linear(0.6), -10.0),
+    (_two_piece, -17.0),
+], ids=["square", "linear", "two_piece"])
+def test_stacked_basis_matches_one_pair_marches(make_V, theta, z):
+    # each eps of a critical schedule reads its own rows of one stacked
+    # march; they agree with the march of that pair alone at the
+    # integration error and keep W(u, v) = -1 on their own [0, eps*M]
+    V, tol = make_V(), 1e-12
+    eps = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+    lams = [theta / e ** 2 + 2.0 / e for e in eps]
+    stacked = ode.solve_uv(V, lams, eps, z, tol)
+    assert len(stacked) == len(eps)
+    for e, lam, views in zip(eps, lams, stacked):
+        alone = ode.solve_uv(V, lam, e, z, tol)
+        xs = np.linspace(0.0, e, 11)
+        for got, want in zip(views, alone):
+            assert got.eps == e and got.x_end == want.x_end
+            for g, w in zip(got(xs), want(xs)):
+                assert g.dtype == w.dtype
+                assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
+            ge, we = got.endpoint, want.endpoint
+            assert abs(ge.value - we.value) <= 1e-9 * abs(we.value)
+            assert abs(ge.derivative - we.derivative) <= 1e-9 * abs(we.derivative)
+        (uv, ud), (vv, vd) = views[0](xs), views[1](xs)
+        assert np.all(np.abs(uv * vd - ud * vv + 1.0) < 1e-9)
+        ue, ve = views[0].endpoint, views[1].endpoint
+        assert abs(ue.value * ve.derivative - ue.derivative * ve.value + 1.0) < 1e-9
 
 
 def test_solve_ivp_has_one_call_site():

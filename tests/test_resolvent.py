@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from deltalim import ode, potential, quadrature, resolvent
+from deltalim import ode, potential, quadrature, resolvent, resonance
 from deltalim.errors import QuadratureFailure, SingularWronskian
 from deltalim.resonance import ScalingLaw
 
@@ -39,15 +39,8 @@ def test_exterior_coefficients_free_case():
     assert a2 == pytest.approx(1 / (2 * resolvent.decay_rate(2j)), rel=1e-10)
 
 
-def test_kernel_marches_once(monkeypatch):
-    calls = []
-    inner = ode.march
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(ode, "march", counting)
+def test_kernel_marches_once(count_calls):
+    calls = count_calls(ode, "march")
     resolvent.kernel_scaled(potential.square(), -30.0, 0.2, 1j)
     assert len(calls) == 1
 
@@ -230,6 +223,30 @@ def test_convergence_study_monotone():
     assert rows[0].error_L2 > rows[1].error_L2
     assert rows[1].alpha_estimate == pytest.approx(1.0, abs=0.05)
     assert rows[0].lam == pytest.approx(THETA0 / 1e-2 + 20.0)
+
+
+def test_convergence_study_marches_the_basis_once(count_calls):
+    # the bases of all five eps are one march of four rows per eps; the
+    # non-resonant membership test marches its bracket ends apart from it
+    marches = count_calls(ode, "march")
+    f = lambda y: ((y >= 1.0) & (y <= 2.0)).astype(float)
+    rows = resolvent.convergence_study(
+        potential.square(), ScalingLaw(-3.0, 1.0), 1j, f,
+        [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], np.linspace(0.1, 3.0, 10),
+        f_breakpoints=(1.0, 2.0), y_max=2.5)
+    assert [r.reference_kind for r in rows] == ["dirichlet"] * 5
+    assert [np.size(args[2]) for args in marches] == [20]
+
+
+def test_estimate_alpha_marches_once(count_calls):
+    # every eps is one coupling of a single stacked endpoint march
+    marches = count_calls(ode, "march")
+    count_calls(resonance, "march", marches)
+    shots = count_calls(ode, "solve_psi")
+    count_calls(resonance, "solve_psi", shots)
+    resolvent.estimate_alpha(potential.square(), THETA0, 1.0,
+                             [1e-2, 1e-3, 1e-4])
+    assert len(marches) == 1 and not shots
 
 
 @pytest.fixture(scope="module")

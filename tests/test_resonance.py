@@ -143,18 +143,6 @@ def test_scan_failure_names_its_segment():
         resonance.find_resonances(potential.square(), (1e5, 1e6))
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    inner = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def test_large_root_passes_theta_scaled_gate():
     hits = resonance.find_resonances(potential.square(), (-2200.0, -1960.0))
     exact = -(14.5 * np.pi) ** 2
@@ -180,10 +168,10 @@ def test_residual_gate_scales_with_theta(monkeypatch):
         certify_at(2.0)
 
 
-def test_certify_shoot_budget(monkeypatch):
+def test_certify_shoot_budget(count_calls):
     # the scan's values seed Brent's method and the hit keeps the last shot:
     # only the couplings Brent evaluates are integrated
-    shoots = _count_calls(monkeypatch, resonance, "solve_psi")
+    shoots = count_calls(resonance, "solve_psi")
     hits = resonance.find_resonances(potential.square(), (-150.0, -100.0),
                                      root_tol=1e-8)
     exact = -(3.5 * np.pi) ** 2
@@ -191,8 +179,8 @@ def test_certify_shoot_budget(monkeypatch):
     assert len(shoots) <= 3
 
 
-def test_scan_integrates_no_coupling_twice(monkeypatch):
-    shoots = _count_calls(monkeypatch, resonance, "solve_psi")
+def test_scan_integrates_no_coupling_twice(count_calls):
+    shoots = count_calls(resonance, "solve_psi")
     hits = resonance.find_resonances(potential.square(), (-2000.0, -30.0))
     assert len(hits) == 12
     thetas = [args[1] for args in shoots]
@@ -222,8 +210,8 @@ def test_certify_keeps_only_the_hits_trajectories(monkeypatch):
     assert alive == {id(h.trajectory) for h in hits}
 
 
-def test_max_hits_certifies_only_what_it_returns(monkeypatch):
-    certified = _count_calls(monkeypatch, resonance, "_certify")
+def test_max_hits_certifies_only_what_it_returns(count_calls):
+    certified = count_calls(resonance, "_certify")
     hits = resonance.find_resonances(potential.square(), (-2e4, -30.0),
                                      max_hits=3)
     exact = [-(np.pi * (k + 0.5)) ** 2 for k in (2, 3, 4)]
@@ -232,26 +220,37 @@ def test_max_hits_certifies_only_what_it_returns(monkeypatch):
     assert len(certified) == 3
 
 
-def test_max_hits_straddling_zero_keeps_the_nearest(monkeypatch):
+def test_max_hits_straddling_zero_keeps_the_nearest(count_calls):
     # V = -1 then +1 has resonances of both signs.  The cell (-3, 25) holds
     # 0 and the root near 22.03, so it comes first; (-31, -3) may still hold
     # a nearer root (it does: -3.516) and must be certified too.
     V = potential.piecewise((0.0, 0.5, 1.0), [(-1.0, 0, 0, 0), (1.0, 0, 0, 0)])
     every = resonance.find_resonances(V, (-31.0, 25.0), grid_cells=2)
-    certified = _count_calls(monkeypatch, resonance, "_certify")
+    certified = count_calls(resonance, "_certify")
     one = resonance.find_resonances(V, (-31.0, 25.0), grid_cells=2, max_hits=1)
     assert len(every) == 2 and every[0].theta < 0.0 < every[1].theta
     assert [h.theta for h in one] == [every[0].theta]
     assert len(certified) == 2
 
 
-def test_membership_shoots_no_coupling_twice(monkeypatch):
+def test_membership_shoots_no_coupling_twice(count_calls):
     # the bracket ends shot for the sign test are handed to Brent's method,
     # and the hit keeps the trajectory of the coupling Brent returns
-    shoots = _count_calls(monkeypatch, resonance, "solve_psi")
+    shoots = count_calls(resonance, "solve_psi")
     for theta in (-np.pi ** 2 / 4 + 1e-8, -(1.5 * np.pi) ** 2 * (1 + 3e-7)):
         shoots.clear()
         hit = resonance.resonance_membership(potential.square(), theta, 1e-6)
         assert hit is not None
         thetas = [args[1] for args in shoots]
         assert len(set(thetas)) == len(thetas)
+
+
+def test_membership_marches_its_ends_once(count_calls):
+    # the six ends of the three nested brackets are one stacked march, and
+    # a coupling off every resonance needs no scalar shot
+    marches = count_calls(resonance, "march")
+    count_calls(ode, "march", marches)
+    shoots = count_calls(resonance, "solve_psi")
+    assert resonance.resonance_membership(potential.square(), -3.0, 1e-6) is None
+    assert [np.size(args[2]) for args in marches] == [12]
+    assert not shoots
