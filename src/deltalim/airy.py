@@ -13,6 +13,11 @@ sums P and Q.
 The split point is 9.0: the oscillatory-side asymptotic error floor behaves
 like exp(-4/3*|x|^(3/2)), which only drops well below 1e-13 for |x| >= 9,
 while the double-double series stays near machine accuracy up to that point.
+
+The series also sums a whole array of arguments at once (airy_table, and the
+residual grid of find_linear_resonances): every element sees the same
+operations as a float argument and stops at its own term, so each value is
+bit-identical to airy_quad at that argument.
 """
 from __future__ import annotations
 
@@ -109,9 +114,14 @@ def _dd_neg(x):
 # Maclaurin region
 # ---------------------------------------------------------------------------
 
-def _series(x: float):
+def _series(x):
     """The four auxiliary Maclaurin sums (f, g, f', g') for y'' = x*y,
-    summed to stagnation in double-double arithmetic."""
+    summed to stagnation in double-double arithmetic.
+
+    x is a float or a 1-d float64 array.  The arithmetic is elementwise, so
+    an array element sees exactly the operations a float would: each one
+    leaves the sum at the term where its own stopping test holds, and the
+    remaining elements go on as a smaller array."""
     x2 = _two_prod(x, x)
     x3 = _dd_mul_d(x2, x)
 
@@ -119,6 +129,11 @@ def _series(x: float):
     g = term_g = (x, 0.0)
     fp = term_fp = _dd_div_d(x2, 2.0)
     gp = term_gp = (1.0, 0.0)
+
+    scalar = np.ndim(x) == 0
+    if not scalar:
+        active = np.arange(np.size(x))
+        sums = np.empty((4, 2, active.size))    # (f, g, f', g') x (hi, lo)
 
     for k in range(1, 400):
         tk = 3.0 * k
@@ -133,13 +148,29 @@ def _series(x: float):
                                 (k - 1.0) * (tk - 1.0) * tk)
             fp = _dd_add(fp, term_fp)
         scale = abs(f[0]) + abs(g[0]) + 1.0
-        if max(abs(term_f[0]), abs(term_g[0]), abs(term_fp[0]), abs(term_gp[0])) \
-                < 1e-35 * scale:
-            break
-    return f, g, fp, gp
+        terms = (abs(term_f[0]), abs(term_g[0]), abs(term_fp[0]), abs(term_gp[0]))
+        if scalar:
+            if max(terms) < 1e-35 * scale:
+                break
+            continue
+        done = np.maximum.reduce(terms) < 1e-35 * scale
+        if done.any():
+            sums[:, :, active[done]] = np.array((f, g, fp, gp))[:, :, done]
+            keep = ~done
+            active = active[keep]
+            x3, f, g, fp, gp, term_f, term_g, term_fp, term_gp = (
+                (hi[keep], lo[keep]) for hi, lo in
+                (x3, f, g, fp, gp, term_f, term_g, term_fp, term_gp))
+            if not active.size:
+                break
+    if scalar:
+        return f, g, fp, gp
+    sums[:, :, active] = np.array((f, g, fp, gp))
+    return tuple((hi, lo) for hi, lo in sums)
 
 
-def _maclaurin(x: float):
+def _maclaurin(x):
+    """(Ai, Ai', Bi, Bi') at a float, or at each element of a 1-d array."""
     f, g, fp, gp = _series(x)
     af = _dd_mul(_AI0, f)
     bg = _dd_mul(_NEG_DAI0, g)
@@ -235,27 +266,39 @@ class AiryQuad:
         return self.ai * self.dbi - self.dai * self.bi
 
 
+def _asymptotic(x: float):
+    return _asym_positive(x) if x > 0 else _asym_negative(x)
+
+
+def _range_error(x: float) -> AiryRangeError:
+    return AiryRangeError(f"argument {x} outside guarded range |x| <= {X_MAX}")
+
+
 def airy_quad(x: float) -> AiryQuad:
     """Evaluate the Airy quartet at real x, |x| <= 200."""
     x = float(x)
-    if not np.isfinite(x) or abs(x) > X_MAX:
-        raise AiryRangeError(f"argument {x} outside guarded range |x| <= {X_MAX}")
-    if abs(x) <= X_SWITCH:
-        vals = _maclaurin(x)
-    elif x > 0:
-        vals = _asym_positive(x)
-    else:
-        vals = _asym_negative(x)
+    if not abs(x) <= X_MAX:              # NaN fails the comparison
+        raise _range_error(x)
+    vals = _maclaurin(x) if abs(x) <= X_SWITCH else _asymptotic(x)
     return AiryQuad(x, *vals)
 
 
 def airy_table(xs) -> np.ndarray:
-    """Columns (Ai, Ai', Bi, Bi') for an array of arguments."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    """Columns (Ai, Ai', Bi, Bi') for an array of arguments.
+
+    Every argument with |x| <= 9 is summed in one array pass of the series;
+    the others take the asymptotic expansions one at a time.  Each row is
+    bit-identical to airy_quad at that argument."""
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    bad = ~(np.abs(xs) <= X_MAX)
+    if bad.any():
+        raise _range_error(float(xs[bad][0]))
     out = np.empty((xs.size, 4))
-    for i, x in enumerate(xs):
-        q = airy_quad(x)
-        out[i] = (q.ai, q.dai, q.bi, q.dbi)
+    near = np.abs(xs) <= X_SWITCH
+    if near.any():
+        out[near] = np.column_stack(_maclaurin(xs[near]))
+    for i in np.flatnonzero(~near):
+        out[i] = _asymptotic(float(xs[i]))
     return out
 
 
@@ -326,6 +369,19 @@ def upsilon_linear_residual(xi: float, theta: float) -> float:
     return at_s.ai * at_w.dbi - at_s.bi * at_w.dai
 
 
+def _residual_grid(xi: float, thetas: np.ndarray) -> np.ndarray:
+    """upsilon_linear_residual at each coupling of a 1-d array, bit for bit,
+    with the Airy pairs of all of them read by two airy_table calls."""
+    out = np.empty(thetas.size)
+    square = np.array([_use_square(xi, t) for t in thetas], dtype=bool)
+    for i in np.flatnonzero(square):
+        out[i] = _square_closed(thetas[i], 1.0)[1]
+    s = np.cbrt(thetas[~square] / (xi * xi))      # sigma_parameter
+    at_s, at_w = airy_table(s), airy_table(s * (1.0 - xi))
+    out[~square] = at_s[:, 0] * at_w[:, 3] - at_s[:, 2] * at_w[:, 1]
+    return out
+
+
 def _check_resonant(xi: float, theta: float, residual_tol: float, pair):
     if pair is None:
         res, scale = _square_closed(theta, 1.0)[1], 1.0
@@ -381,7 +437,7 @@ def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
         raise ValueError("empty theta range")
     grid = np.linspace(lo, hi, grid_cells + 1)
     grid = grid[grid != 0.0]
-    vals = np.array([upsilon_linear_residual(xi, t) for t in grid])
+    vals = _residual_grid(xi, grid)
     known = dict(zip(grid, vals))     # brentq starts from the scanned ends
 
     def residual(t):
@@ -393,5 +449,7 @@ def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
             roots.append(float(a))
         elif fa * fb < 0.0:
             roots.append(brentq(residual, a, b, xtol=root_tol, rtol=root_tol))
+    if vals.size and vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
     roots.sort(key=abs)
     return roots[:max_hits] if max_hits is not None else roots

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.special
+from scipy.optimize import brentq
 
 from deltalim import airy, ode, potential, quadrature, resonance
 from deltalim.errors import AiryRangeError, NotAResonance
@@ -159,33 +160,147 @@ def test_sigma_parameter():
 @pytest.mark.parametrize("closed_form", [
     lambda xi, theta: airy.alpha_linear(xi, theta, 1.0),
     airy.linear_weighted_square_integral])
-def test_closed_forms_read_one_airy_pair(monkeypatch, closed_form):
+def test_closed_forms_read_one_airy_pair(count_calls, closed_form):
     theta = airy.find_linear_resonances(0.7, (-30.0, -0.5), max_hits=1)[0]
-    args = []
-    inner = airy.airy_quad
-
-    def counting(x):
-        args.append(x)
-        return inner(x)
-
-    monkeypatch.setattr(airy, "airy_quad", counting)
+    args = count_calls(airy, "airy_quad")
     closed_form(0.7, theta)
     s = airy.sigma_parameter(0.7, theta)
-    assert args == [s, s * (1.0 - 0.7)]
+    assert args == [(s,), (s * (1.0 - 0.7),)]
 
 
-def test_root_refinement_reuses_scanned_ends(monkeypatch):
-    # 201 scanned couplings read 402 Airy values; Brent's method starts from
-    # the scanned bracket ends and reads only its interior iterates
-    args = []
-    inner = airy.airy_quad
-
-    def counting(x):
-        args.append(x)
-        return inner(x)
-
-    monkeypatch.setattr(airy, "airy_quad", counting)
+def test_root_refinement_reuses_scanned_ends(count_calls):
+    # the 201 scanned couplings are read as two airy_table calls of 201
+    # arguments; Brent's method starts from the scanned bracket ends and
+    # reads only the Airy pairs of its interior iterates, one at a time
+    tables = count_calls(airy, "airy_table")
+    quads = count_calls(airy, "airy_quad")
     roots = airy.find_linear_resonances(0.7, (-80.0, -0.5), grid_cells=200)
     assert len(roots) == 2
-    assert len(args) == 420
-    assert len(set(args)) == len(args)
+    assert [np.shape(xs) for (xs,) in tables] == [(201,), (201,)]
+    scanned = set(np.concatenate([xs for (xs,) in tables]))
+    brent = [x for (x,) in quads]
+    assert len(brent) == 18
+    assert len(set(brent)) == len(brent)
+    assert scanned.isdisjoint(brent)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation: bit-identical to the scalar path
+
+
+def _table_by_quad(xs):
+    return np.array([[q.ai, q.dai, q.bi, q.dbi]
+                     for q in map(airy.airy_quad, xs)]).reshape(-1, 4)
+
+
+def _assert_identical(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_airy_table_matches_airy_quad_on_series_range():
+    xs = np.linspace(-9.0, 9.0, 2001)
+    _assert_identical(airy.airy_table(xs), _table_by_quad(xs))
+
+
+def test_airy_table_matches_airy_quad_across_the_switch():
+    edges = [9.0, -9.0, np.nextafter(9.0, np.inf), np.nextafter(-9.0, -np.inf),
+             0.0, -0.0]
+    xs = np.concatenate([np.linspace(-30.0, 30.0, 241), edges])
+    np.random.default_rng(5).shuffle(xs)
+    _assert_identical(airy.airy_table(xs), _table_by_quad(xs))
+
+
+@pytest.mark.parametrize("xs,n", [([0.5, -2.0, 12.0], 3), (np.float64(-3.0), 1),
+                                  (np.array(1.5), 1), ([], 0), (np.empty(0), 0)])
+def test_airy_table_shapes(xs, n):
+    tab = airy.airy_table(xs)
+    assert tab.shape == (n, 4)
+    _assert_identical(tab, _table_by_quad(np.atleast_1d(xs)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 201.0, -250.0, np.inf])
+def test_airy_table_range_guard(bad):
+    with pytest.raises(AiryRangeError, match="outside guarded range"):
+        airy.airy_table([0.5, bad, 12.0])
+    with pytest.raises(AiryRangeError):
+        airy.airy_table(bad)
+
+
+def _scalar_scan(xi, theta_range, grid_cells):
+    """The residual grid as scalar upsilon_linear_residual calls, and the
+    roots Brent's method finds from it."""
+    grid = np.linspace(*theta_range, grid_cells + 1)
+    grid = grid[grid != 0.0]
+    vals = np.array([airy.upsilon_linear_residual(xi, t) for t in grid])
+    roots = [float(t) for t in grid[vals == 0.0]]
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if fa * fb < 0.0:
+            roots.append(brentq(lambda t: airy.upsilon_linear_residual(xi, t),
+                                a, b, xtol=1e-12, rtol=1e-12))
+    return grid, vals, sorted(roots, key=abs)
+
+
+def _dualpath_window(seed):
+    """A seeded window around one of the first four resonances of a random
+    xi, drawn as the dual-path cross-checks draw theirs."""
+    cases = ((0, (0.25, 0.35)), (3, (1.05, 1.15)), (1, (0.65, 0.75)),
+             (2, (0.45, 0.55)))
+    rng = np.random.default_rng([17, seed])
+    k, (lo, hi) = cases[seed % len(cases)]
+    xi = float(rng.uniform(lo, hi))
+    depth = 50.0
+    while len(roots := airy.find_linear_resonances(
+            xi, (-depth, -0.05), grid_cells=400, root_tol=1e-6)) < k + 2:
+        depth *= 2.0
+    root, below = roots[k], roots[k + 1]
+    above = roots[k - 1] if k else 0.0
+    return xi, (root - rng.uniform(0.25, 0.45) * (root - below),
+                root + rng.uniform(0.25, 0.45) * (above - root))
+
+
+def _check_against_scalar_scan(xi, theta_range, cells):
+    grid, vals, roots = _scalar_scan(xi, theta_range, cells)
+    sigma = np.array([airy.sigma_parameter(xi, t) for t in grid])
+    assert np.array_equal(np.cbrt(grid / (xi * xi)), sigma)
+    _assert_identical(airy._residual_grid(xi, grid), vals)
+    assert airy.find_linear_resonances(xi, theta_range, grid_cells=cells) == roots
+    return roots
+
+
+# criterion 5's inputs, a xi inside the square-well guard band, a range that
+# crosses |theta| = X_MAX^3 xi^2 (8 at xi = 1e-3), and one that crosses 0
+@pytest.mark.parametrize("xi,theta_range", [
+    (0.3, (-80.0, -0.5)), (0.7, (-80.0, -0.5)), (1.0, (-80.0, -0.5)),
+    (5e-7, (-30.0, -0.5)), (1e-3, (-20.0, -2.0)), (-0.4, (-50.0, 10.0))])
+def test_linear_resonances_match_scalar_scan(xi, theta_range):
+    assert _check_against_scalar_scan(xi, theta_range, 200)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_dualpath_windows_match_scalar_scan(seed):
+    assert len(_check_against_scalar_scan(*_dualpath_window(seed), 100)) == 1
+
+
+def test_exact_grid_zeros_are_reported_once(monkeypatch):
+    xi, theta_range, cells = 0.7, (-60.0, -0.5), 100
+    grid = np.linspace(*theta_range, cells + 1)
+    vals = airy._residual_grid(xi, grid)
+    found = airy.find_linear_resonances(xi, theta_range, grid_cells=cells)
+    # an interior point, and the last one, away from every sign change
+    calm = [i for i in range(2, cells - 1)
+            if np.all(np.sign(vals[i - 2:i + 3]) == np.sign(vals[i]))]
+    assert np.all(np.sign(vals[-3:]) == np.sign(vals[-1]))
+    zeroed = [calm[len(calm) // 2], cells]
+    inner = airy._residual_grid
+
+    def with_zeros(xi, thetas):
+        out = inner(xi, thetas)
+        out[zeroed] = 0.0
+        return out
+
+    monkeypatch.setattr(airy, "_residual_grid", with_zeros)
+    roots = airy.find_linear_resonances(xi, theta_range, grid_cells=cells)
+    assert roots == sorted(found + [float(grid[i]) for i in zeroed], key=abs)
+    assert len(set(roots)) == len(roots)
