@@ -32,8 +32,11 @@ __all__ = [
 ]
 
 GRID_CELLS = 400
+CHEB_NODES = 12          # Chebyshev points per certified bracket
+CERTIFY_ROUNDS = 4      # node marches per root before a bracket is too coarse
 QUAD_NODES = 20
 QUAD_MAX_PANEL = 0.5
+_EPS = 4 * np.finfo(float).eps     # brentq's smallest rtol
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class ResonanceHit:
 
     theta: float
     residual: float                 # |psi'(M)| after refinement
-    bracket: tuple[float, float]
+    bracket: tuple[float, float]    # the interval the root was certified in
     psi_at_M: float
     integral_I: float               # int_0^M V psi^2
     dpsi_sq_integral: float         # int_0^M (psi')^2
@@ -86,10 +89,11 @@ def _scan_slopes(V: Potential, thetas: np.ndarray, tol: float):
     """Endpoint data (psi(M), psi'(M)) of the zero-energy shooting solution
     for a whole array of couplings, in one stacked non-dense integration.
 
-    The couplings share adaptive steps, so no single value is bound to
-    ``tol``.  Certification reads a bracket's two values only to seed Brent's
-    first step and fix its signs; every coupling Brent evaluates is a scalar
-    shot at full accuracy."""
+    The couplings share adaptive steps, so the error control is over all of
+    them together; at the certification ``tol`` each slope still agrees with
+    a scalar shot to about tol times the largest slope of the stack, which is
+    what the Chebyshev interpolant of ``_certify`` needs.  Every certified
+    root is then checked by one scalar dense shot."""
     n = thetas.size
 
     def rhs(x, y):
@@ -99,6 +103,12 @@ def _scan_slopes(V: Potential, thetas: np.ndarray, tol: float):
     y0 = np.concatenate([np.zeros(n), np.ones(n)])
     y = march(V, rhs, y0, tol)[1]
     return y[:n], y[n:]
+
+
+def _nodes(a: float, b: float) -> np.ndarray:
+    """The CHEB_NODES first-kind Chebyshev points of (a, b), ascending."""
+    x = np.polynomial.chebyshev.chebpts1(CHEB_NODES)
+    return 0.5 * (a + b) + 0.5 * (b - a) * x
 
 
 def _profile_integrals(V: Potential, traj: Trajectory):
@@ -112,54 +122,75 @@ def _profile_integrals(V: Potential, traj: Trajectory):
 
 
 def _certify(V: Potential, a: float, b: float, root_tol: float,
-             tol: float, known=None) -> ResonanceHit:
-    """Refine a sign-change bracket by Brent's method to width
-    root_tol*(1+|theta|)/4 and assemble the certified hit.  ``known`` maps
-    couplings already evaluated (the bracket ends) to their psi'(M), so they
-    are not shot again; every other coupling is one dense shot at ``tol``.
-    Brent returns a coupling it has evaluated, so the hit keeps that shot
-    and solves again only when the root is a ``known`` end."""
-    known = known or {}
-    shots = {}
+             tol: float, known=None) -> list[ResonanceHit]:
+    """Certify every root of psi'(M) that the Chebyshev points of (a, b)
+    separate, and return their hits.
 
-    def slope(t):
-        if t in known:
-            return known[t]
-        shots[t] = solve_psi(V, t, 0.0, 0.0, tol)
-        return float(np.real(shots[t].endpoint.derivative))
-
-    theta = brentq(slope, a, b,
-                   xtol=0.25 * root_tol,
-                   rtol=max(0.25 * root_tol, 4 * np.finfo(float).eps))
-    # brentq's wrapper of ``slope`` lives until the cyclic collector runs:
-    # empty the cache so only the hit's trajectory outlives this call
-    traj = shots.pop(theta, None)
-    shots.clear()
-    if traj is None:
-        traj = solve_psi(V, theta, 0.0, 0.0, tol)
-    psi_m = float(np.real(traj.endpoint.value))
-    residual = abs(float(np.real(traj.endpoint.derivative)))
-    if abs(psi_m) <= 1e-8 * (1.0 + abs(theta)):
-        raise DegenerateProfile(
-            f"profile vanishes at the support edge for theta={theta}")
-    integral, slope_sq = _profile_integrals(V, traj)
-    dG = integral / psi_m
-    threshold = root_tol * abs(dG) * (1.0 + abs(theta))
-    if residual > threshold:
-        raise BracketScanTooCoarse(
-            f"bracket {(a, b)} refined to theta={theta} but residual "
-            f"{residual:.3e} exceeds root_tol*|dG/dtheta|*(1+|theta|) = "
-            f"{threshold:.3e}; suspect several roots or a tangency in one cell")
-    return ResonanceHit(
-        theta=theta,
-        residual=residual,
-        bracket=(a, b),
-        psi_at_M=psi_m,
-        integral_I=integral,
-        dpsi_sq_integral=slope_sq,
-        dG_dtheta=dG,
-        trajectory=traj,
-    )
+    A round marches the CHEB_NODES Chebyshev points of its bracket, and the
+    bracket ends, in one stacked march at ``tol``; ``known`` maps couplings
+    already evaluated to their psi'(M), and those are not marched again.
+    In each sub-interval between adjacent points whose values change sign,
+    Brent's method finds the root of the Chebyshev interpolant, and one
+    scalar dense shot there is gated on |psi'(M)| <= root_tol*|dG/dtheta|*
+    (1+|theta|).  A hit keeps that shot's trajectory.  If the gate fails,
+    the shot's sign picks the half of the sub-interval that holds the root,
+    and the next round marches that half; after CERTIFY_ROUNDS rounds the
+    bracket is reported as too coarse."""
+    known = dict(known or {})
+    hits = []
+    rounds = [(a, b, 1)]
+    while rounds:
+        lo, hi, k = rounds.pop()
+        nodes = _nodes(lo, hi)
+        t = [lo, *nodes.tolist(), hi]
+        todo = [x for x in t if x not in known]
+        if todo:
+            slopes = _scan_slopes(V, np.array(todo), tol)[1]
+            known.update(zip(todo, slopes.tolist()))
+        g = np.array([known[x] for x in t])
+        cheb = np.polynomial.Chebyshev.fit(nodes, g[1:-1], CHEB_NODES - 1,
+                                           domain=[lo, hi])
+        cross = g[:-1] * g[1:] <= 0.0
+        cross[1:] &= g[1:-1] != 0.0     # a zero point closes one sub-interval
+        for j in np.flatnonzero(cross).tolist():
+            # the marched values stand at the ends, whose signs bracket the
+            # root even where the interpolant is poor (a bracket end is no
+            # Chebyshev point); a polynomial costs nothing to refine fully
+            ends = {t[j]: g[j], t[j + 1]: g[j + 1]}
+            theta = brentq(lambda x: ends[x] if x in ends else cheb(x),
+                           t[j], t[j + 1], rtol=_EPS,
+                           xtol=_EPS * (abs(t[j]) + abs(t[j + 1])))
+            traj = solve_psi(V, theta, 0.0, 0.0, tol)
+            psi_m = float(np.real(traj.endpoint.value))
+            slope = float(np.real(traj.endpoint.derivative))
+            if abs(psi_m) <= 1e-8 * (1.0 + abs(theta)):
+                raise DegenerateProfile(
+                    f"profile vanishes at the support edge for theta={theta}")
+            integral, slope_sq = _profile_integrals(V, traj)
+            dG = integral / psi_m
+            threshold = root_tol * abs(dG) * (1.0 + abs(theta))
+            if abs(slope) <= threshold:
+                hits.append(ResonanceHit(
+                    theta=theta,
+                    residual=abs(slope),
+                    bracket=(t[j], t[j + 1]),
+                    psi_at_M=psi_m,
+                    integral_I=integral,
+                    dpsi_sq_integral=slope_sq,
+                    dG_dtheta=dG,
+                    trajectory=traj,
+                ))
+            elif k < CERTIFY_ROUNDS:
+                known[theta] = slope
+                half = (t[j], theta) if g[j] * slope < 0.0 else (theta, t[j + 1])
+                rounds.append((*half, k + 1))
+            else:
+                raise BracketScanTooCoarse(
+                    f"bracket {(a, b)} refined to theta={theta} but residual "
+                    f"{abs(slope):.3e} exceeds root_tol*|dG/dtheta|*(1+|theta|) "
+                    f"= {threshold:.3e}; suspect several roots or a tangency "
+                    "in one cell")
+    return hits
 
 
 def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
@@ -167,11 +198,15 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
                     grid_cells: int = GRID_CELLS) -> list[ResonanceHit]:
     """All sign-change roots of theta -> psi'(M) in theta_range.
 
-    Grid scan with ``grid_cells`` cells, then Brent's method on each
-    sign-change bracket; hits are returned ordered by |theta| (the
+    A stacked grid scan with ``grid_cells`` cells finds the cells where
+    psi'(M) changes sign.  Each such cell is certified by ``_certify``: one
+    stacked march of its Chebyshev points, Brent's method on their
+    interpolant and one scalar dense shot per root, so a cell that holds an
+    odd number of roots gives all of them (an even number shows no sign
+    change and is not seen).  Hits are returned ordered by |theta| (the
     physically first resonances come first for a negative range).  With
-    ``max_hits``, brackets are certified nearest |theta| first, and only
-    until no bracket left can hold a root nearer than the max_hits-th."""
+    ``max_hits``, cells are certified nearest |theta| first, and only until
+    no cell left can hold a root nearer than the max_hits-th."""
     lo, hi = map(float, theta_range)
     if not lo < hi:
         raise ValueError("empty theta range")
@@ -183,17 +218,16 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
         return 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
 
     cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    keep = cells.size if max_hits is None else max_hits
     hits = []
     for i in sorted(cells, key=nearest):
-        if len(hits) >= keep and (
-                not hits or nearest(i) >= abs(hits[keep - 1].theta)):
+        if max_hits is not None and len(hits) >= max_hits and (
+                not hits or nearest(i) >= abs(hits[max_hits - 1].theta)):
             break
         a, b = grid[i], grid[i + 1]
-        hits.append(_certify(V, a, b, root_tol, tol,
+        hits.extend(_certify(V, a, b, root_tol, tol,
                              {a: vals[i], b: vals[i + 1]}))
         hits.sort(key=lambda h: abs(h.theta))
-    return hits[:keep]
+    return hits[:max_hits]
 
 
 def robin_alpha(V: Potential, hit: ResonanceHit, omega: float) -> float:
@@ -209,16 +243,20 @@ def resonance_membership(V: Potential, theta: float, tol: float = 1e-6,
 
     Looks for a sign change of psi'(M) in a sequence of growing brackets
     around theta (the resonant set is discrete, so a tight local bracket
-    decides membership).  The ends of all the brackets are shot in one
-    stacked march at ``ode_tol``; they fix the signs and seed Brent, and
-    every coupling Brent evaluates is a scalar shot."""
+    decides membership).  The ends of all the brackets and the Chebyshev
+    points of the innermost one are shot in one stacked march at
+    ``ode_tol``, and ``_certify`` reads them from there: a resonance in the
+    innermost bracket costs that march and one scalar dense shot."""
     half = tol * (1.0 + abs(theta))
     brackets = [(theta - w * half, theta + w * half) for w in (1.0, 4.0, 16.0)]
-    slopes = _scan_slopes(V, np.ravel(brackets), ode_tol)[1].reshape(-1, 2)
-    for (a, b), (fa, fb) in zip(brackets, slopes.tolist()):
+    thetas = np.concatenate([np.ravel(brackets), _nodes(*brackets[0])])
+    slopes = _scan_slopes(V, thetas, ode_tol)[1]
+    known = dict(zip(thetas.tolist(), slopes.tolist()))
+    for a, b in brackets:
+        fa, fb = known[a], known[b]
         if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
-            hit = _certify(V, a, b, max(1e-10, tol * 1e-2), ode_tol,
-                           {a: fa, b: fb})
+            hits = _certify(V, a, b, max(1e-10, tol * 1e-2), ode_tol, known)
+            hit = min(hits, key=lambda h: abs(h.theta - theta))
             if abs(hit.theta - theta) <= tol * (1.0 + abs(theta)):
                 return hit
             return None

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from deltalim import ode, potential, resonance
+from deltalim import airy, ode, potential, resonance
 from deltalim.errors import BracketScanTooCoarse, NonConvergence
 from deltalim.resonance import LimitDescriptor, ScalingLaw
 
@@ -150,7 +150,7 @@ def test_large_root_passes_theta_scaled_gate():
     assert abs(hits[0].theta - exact) <= 1e-9 * abs(exact)
 
 
-def test_residual_gate_scales_with_theta(monkeypatch):
+def test_residual_gate_scales_with_theta(monkeypatch, count_calls):
     # hand the gate a theta off the root by a multiple of the stopping width
     V = potential.square()
     exact, root_tol = -(14.5 * np.pi) ** 2, 1e-10
@@ -161,22 +161,25 @@ def test_residual_gate_scales_with_theta(monkeypatch):
                             lambda *args, **kwargs: exact + offset * width)
         return resonance._certify(V, exact - 1.0, exact + 1.0, root_tol, 1e-12)
 
-    hit = certify_at(0.2)
+    [hit] = certify_at(0.2)
     assert hit.residual > root_tol          # an absolute gate rejects this
     assert hit.residual <= root_tol * abs(hit.dG_dtheta) * (1.0 + abs(exact))
+    marches = count_calls(resonance, "_scan_slopes")
     with pytest.raises(BracketScanTooCoarse, match=r"exceeds .* = \d"):
         certify_at(2.0)
+    # each failed gate halves the bracket for one more round, up to the cap
+    assert len(marches) == resonance.CERTIFY_ROUNDS
 
 
 def test_certify_shoot_budget(count_calls):
-    # the scan's values seed Brent's method and the hit keeps the last shot:
-    # only the couplings Brent evaluates are integrated
+    # Brent's method refines the Chebyshev interpolant of one stacked march,
+    # so the only scalar shot is the one the gate judges, and the hit keeps it
     shoots = count_calls(resonance, "solve_psi")
     hits = resonance.find_resonances(potential.square(), (-150.0, -100.0),
                                      root_tol=1e-8)
     exact = -(3.5 * np.pi) ** 2
     assert [h.theta for h in hits] == [pytest.approx(exact, rel=1e-9)]
-    assert len(shoots) <= 3
+    assert [args[1] for args in shoots] == [hits[0].theta]
 
 
 def test_scan_integrates_no_coupling_twice(count_calls):
@@ -188,8 +191,8 @@ def test_scan_integrates_no_coupling_twice(count_calls):
 
 
 def test_certify_keeps_only_the_hits_trajectories(monkeypatch):
-    # brentq's wrapper of the objective is a reference cycle: a shot cached
-    # there lives until the cyclic collector runs, so none may be left in it
+    # with the cyclic collector off, a shot left in a reference cycle would
+    # outlive the call: every shot is a hit's, and only the hits keep theirs
     refs = []
     shoot = resonance.solve_psi
 
@@ -206,7 +209,7 @@ def test_certify_keeps_only_the_hits_trajectories(monkeypatch):
         alive = {id(r()) for r in refs if r() is not None}
     finally:
         gc.enable()
-    assert len(hits) == 7 and len(refs) > len(hits)
+    assert len(hits) == 7 and len(refs) == len(hits)
     assert alive == {id(h.trajectory) for h in hits}
 
 
@@ -246,11 +249,83 @@ def test_membership_shoots_no_coupling_twice(count_calls):
 
 
 def test_membership_marches_its_ends_once(count_calls):
-    # the six ends of the three nested brackets are one stacked march, and
-    # a coupling off every resonance needs no scalar shot
+    # the six ends of the three nested brackets and the Chebyshev points of
+    # the innermost one are one stacked march (two state rows per coupling),
+    # and a coupling off every resonance needs no scalar shot
     marches = count_calls(resonance, "march")
     count_calls(ode, "march", marches)
     shoots = count_calls(resonance, "solve_psi")
     assert resonance.resonance_membership(potential.square(), -3.0, 1e-6) is None
-    assert [np.size(args[2]) for args in marches] == [12]
+    assert [np.size(args[2]) for args in marches] == [2 * (6 + resonance.CHEB_NODES)]
     assert not shoots
+
+
+def test_resonant_membership_costs_one_march_and_one_shot(count_calls):
+    marches = count_calls(resonance, "march")
+    count_calls(ode, "march", marches)
+    shoots = count_calls(resonance, "solve_psi")
+    theta0 = -np.pi ** 2 / 4
+    hit = resonance.resonance_membership(potential.square(), theta0 + 1e-8, 1e-6)
+    assert hit.theta == pytest.approx(theta0, abs=1e-8)
+    # the march of the stacked couplings, then the one dense shot at the root
+    assert len(marches) == 2 and [args[1] for args in shoots] == [hit.theta]
+
+
+def test_odd_roots_in_one_cell_are_all_certified():
+    # one scan cell over -pi^2/4, -9pi^2/4 and -25pi^2/4: the Chebyshev
+    # points separate all three, and each gets its own certified hit
+    hits = resonance.find_resonances(potential.square(), (-70.0, -0.5),
+                                     grid_cells=1)
+    exact = [-(np.pi * (k + 0.5)) ** 2 for k in range(3)]
+    assert [h.theta for h in hits] == [pytest.approx(e, rel=1e-10) for e in exact]
+    one = resonance.find_resonances(potential.square(), (-70.0, -0.5),
+                                    grid_cells=1, max_hits=1)
+    assert [h.theta for h in one] == [hits[0].theta]
+
+
+def _cell(lo, hi, cells, theta):
+    """The cell of find_resonances' grid on (lo, hi) that holds theta."""
+    grid = np.linspace(lo, hi, cells + 1)
+    i = np.searchsorted(grid, theta) - 1
+    return float(grid[i]), float(grid[i + 1])
+
+
+_TWO_PIECE = potential.piecewise((0.0, 0.4, 1.0),
+                                 [(1.0, 0.5, 0.0, 0.0), (2.0, -1.0, 0.5, 0.0)])
+
+
+@pytest.mark.parametrize("V, cell", [
+    (potential.square(), _cell(-150.0, -100.0, 400, -(3.5 * np.pi) ** 2)),
+    (potential.linear(0.7), (-193.0, -192.0)),
+    (_TWO_PIECE, _cell(-60.0, -0.5, 300, -20.0)),
+    (potential.square(), (-70.0, -0.5)),
+    (potential.square(), _cell(-2e4, -0.1, 400, -19544.28)),
+])
+def test_stacked_node_values_match_scalar_shots(V, cell):
+    # the premise of certification: one stacked march of a cell's Chebyshev
+    # points gives each psi'(M) as a scalar shot does, so their interpolant
+    # can be trusted to locate the root
+    nodes = resonance._nodes(*cell)
+    stacked = resonance._scan_slopes(V, nodes, 1e-12)[1]
+    scalar = np.array([resonance.shoot_residual(V, t, 1e-12)[1] for t in nodes])
+    assert np.max(np.abs(stacked - scalar)) <= 1e-11 * np.max(np.abs(scalar))
+
+
+def test_square_well_roots_accurate_over_a_wide_range():
+    # default root_tol on (-2e4, -0.1): the first cell holds two roots and
+    # shows no sign change (the open coarse-cell defect); every root found
+    # lies within 1e-10 relative of -(pi(k + 1/2))^2
+    hits = resonance.find_resonances(potential.square(), (-2e4, -0.1))
+    exact = np.array([-(np.pi * (k + 0.5)) ** 2 for k in range(45)])
+    assert len(hits) == 43
+    for h in hits:
+        e = exact[np.argmin(np.abs(exact - h.theta))]
+        assert abs(h.theta - e) <= 1e-10 * abs(e)
+
+
+def test_linear_roots_match_the_airy_closed_form():
+    hits = resonance.find_resonances(potential.linear(0.7), (-2e4, -30.0))
+    roots = airy.find_linear_resonances(0.7, (-2e4, -30.0))
+    assert len(hits) == len(roots) == 35
+    for h, r in zip(hits, sorted(roots, key=abs)):
+        assert abs(h.theta - r) <= 1e-10 * abs(r)
