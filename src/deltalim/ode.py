@@ -10,6 +10,12 @@ routed through the rescaling u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps),
 which keeps the integrated problem O(1) in the regime |lambda| = O(eps^-2).
 Along a critical schedule eps^2*lambda(eps) = theta + omega*eps, so the
 bases of a whole eps sequence are marched together, on one set of steps.
+
+A dense march keeps no per-step scipy objects: it stacks the attributes
+``t_old``, ``h``, ``y_old`` and ``F`` of every step's ``Dop853DenseOutput``
+into arrays once, and ``Trajectory`` reads any set of points from them in a
+fixed number of numpy operations.  These are scipy internals;
+tests/test_ode.py pins them and checks every read against scipy's own.
 """
 from __future__ import annotations
 
@@ -43,19 +49,56 @@ class CauchyState:
     derivative: complex
 
 
+@dataclass(frozen=True)
+class _DenseSteps:
+    """The DOP853 interpolants of every step of a dense march, stacked once.
+
+    Step i starts at t_old[i], has length h[i], state y_old[i] and the
+    interpolant coefficients F[i] (shape (7, rows)): the attributes
+    ``t_old``, ``h``, ``y_old`` and ``F`` of scipy's ``Dop853DenseOutput``,
+    which tests/test_ode.py pins.  Piece p of V, from cuts[p] to
+    cuts[p + 1], starts at step first[p]."""
+
+    cuts: np.ndarray
+    first: np.ndarray
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+
+    @classmethod
+    def stack(cls, cuts, pieces) -> _DenseSteps:
+        """Stack the steps of each piece, given as lists of
+        ``Dop853DenseOutput``."""
+        steps = [step for piece in pieces for step in piece]
+        return cls(np.asarray(cuts, dtype=float),
+                   np.cumsum([0, *map(len, pieces[:-1])]),
+                   np.array([step.t_old for step in steps]),
+                   np.array([step.h for step in steps]),
+                   np.array([step.y_old for step in steps]),
+                   np.array([step.F for step in steps]))
+
+
 class Trajectory:
     """Dense solution of a second-order Cauchy problem on [0, x_end]: rows
-    (row, row + 1) of the marched state, read as (value, derivative)."""
+    (row, row + 1) of the marched state, read as (value, derivative).
 
-    def __init__(self, segments, y_end, row: int = 0):
-        self._segments = segments          # list of (t0, t1, OdeSolution)
-        self._edges = np.array([s[0] for s in segments] + [segments[-1][1]])
+    ``steps`` is the stacked interpolant data of a dense ``march``.  A read
+    picks each point's piece of V with side="right" (a breakpoint belongs to
+    the piece it starts) and its step inside the piece with side="left", as
+    scipy's ``OdeSolution`` does.  It then evaluates the Horner sequence of
+    ``Dop853DenseOutput._call_impl`` in the same order, on its own two rows
+    only, so it is bit-identical to a read through scipy; tests/test_ode.py
+    keeps that read as the oracle."""
+
+    def __init__(self, steps: _DenseSteps, y_end, row: int = 0):
+        self._steps = steps
         self._rows = slice(row, row + 2)
         self._y_end = y_end[self._rows]    # (value, derivative) at x_end
 
     @property
     def x_end(self) -> float:
-        return float(self._edges[-1])
+        return float(self._steps.cuts[-1])
 
     @property
     def endpoint(self) -> CauchyState:
@@ -64,14 +107,25 @@ class Trajectory:
     def __call__(self, x):
         """Return (value, derivative) at x (scalar or array) via the
         integrator's dense interpolant."""
+        s = self._steps
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((2, xs.size), dtype=self._y_end.dtype)
-        idx = np.clip(np.searchsorted(self._edges, xs, side="right") - 1,
-                      0, len(self._segments) - 1)
-        for i in range(len(self._segments)):
-            sel = idx == i
-            if np.any(sel):
-                out[:, sel] = self._segments[i][2](xs[sel])[self._rows]
+        piece = np.clip(np.searchsorted(s.cuts, xs, side="right") - 1,
+                        0, s.cuts.size - 2)
+        # steps are ascending across pieces, so only a point on a breakpoint
+        # (or below 0) needs lifting into its piece's first step
+        i = np.maximum(np.searchsorted(s.t_old, xs, side="left") - 1,
+                       s.first[piece])
+        u = ((xs - s.t_old[i]) / s.h[i])[:, None]
+        coeffs = s.F[i, ::-1, self._rows]
+        y = np.zeros((xs.size, 2), dtype=s.y_old.dtype)
+        for k in range(coeffs.shape[1]):
+            y += coeffs[:, k]
+            if k % 2 == 0:
+                y *= u
+            else:
+                y *= 1 - u
+        y += s.y_old[i, self._rows]
+        out = y.T.copy()
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return out[0, 0], out[1, 0]
         return out[0], out[1]
@@ -107,21 +161,22 @@ class ScaledTrajectory:
 
 def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
     """Integrate y' = rhs(x, y) from 0 to the support edge of V, restarting
-    at every breakpoint.  Returns the pieces (lo, hi, OdeSolution or None)
-    and the state at the edge."""
+    at every breakpoint.  Returns the stacked ``_DenseSteps`` (None unless
+    ``dense``) and the state at the edge."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     cuts = V.breakpoints
-    segments = []
+    pieces = []
     y = np.asarray(y0)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
                         rtol=tol, atol=tol * 1e-3, dense_output=dense)
         if not sol.success or not np.all(np.isfinite(sol.y)):
             raise NonConvergence(f"integration failed on [{lo}, {hi}]: {sol.message}")
-        segments.append((lo, hi, sol.sol))
+        if dense:
+            pieces.append(sol.sol.interpolants)
         y = sol.y[:, -1].copy()
-    return segments, y
+    return (_DenseSteps.stack(cuts, pieces) if dense else None), y
 
 
 def _energy_and_state(gamma, z, y0):
@@ -151,12 +206,12 @@ def solve_uv(V: Potential, lam, eps, z, tol: float = DEFAULT_TOL):
     v'(0)=0, so W(u, v) = -1.
 
     Both come from a march of (psi, psi', psi~, psi~') at theta =
-    eps^2*lam, gamma = eps^2, and read its segments as two rescaled views:
+    eps^2*lam, gamma = eps^2, and read its steps as two rescaled views:
     u(x) = eps*psi(x/eps) and v(x) = psi~(x/eps), whose slope is divided by
     eps instead.  For sequences lam and eps, every pair (lam_k, eps_k) is
     one block of four rows of a single stacked march, and the result is the
     list of their (u, v); each view reads its own rows of the shared
-    segments.  The pairs share adaptive steps, so the error control is over
+    steps.  The pairs share adaptive steps, so the error control is over
     all of them together.
     """
     lams, epss = np.broadcast_arrays(np.asarray(lam, dtype=float),
@@ -174,8 +229,8 @@ def solve_uv(V: Potential, lam, eps, z, tol: float = DEFAULT_TOL):
         dy[1::2] = (theta * V(x) - gz) * y[0::2]
         return dy
 
-    segments, y_end = march(V, rhs, y0, tol, dense=True)
-    bases = [(ScaledTrajectory(Trajectory(segments, y_end, 4 * k), e, e, 1.0),
-              ScaledTrajectory(Trajectory(segments, y_end, 4 * k + 2), e, 1.0, e))
+    steps, y_end = march(V, rhs, y0, tol, dense=True)
+    bases = [(ScaledTrajectory(Trajectory(steps, y_end, 4 * k), e, e, 1.0),
+              ScaledTrajectory(Trajectory(steps, y_end, 4 * k + 2), e, 1.0, e))
              for k, e in enumerate(epss.tolist())]
     return bases[0] if lams.ndim == 0 else bases

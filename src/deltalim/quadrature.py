@@ -20,16 +20,22 @@ def panel_edges(a: float, b: float, breakpoints=(),
                 max_panel: float | None = None) -> np.ndarray:
     """Sorted panel edges of [a, b]: a, b and every breakpoint strictly
     inside, each exactly, with panels longer than ``max_panel`` subdivided
-    uniformly.  Empty when b <= a."""
+    uniformly.  Empty when b <= a.
+
+    Edge k of a cut [lo, hi] split into n parts is lo + k*((hi - lo)/n), as
+    ``np.linspace(lo, hi, n + 1)`` computes it, for all cuts at once."""
+    if max_panel is not None and not max_panel > 0:
+        raise ValueError(f"max_panel must be positive, got {max_panel}")
     if b <= a:
         return np.empty(0)
-    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    edges: list[float] = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        parts = 1 if max_panel is None else max(1, int(np.ceil((hi - lo) / max_panel)))
-        edges.extend(np.linspace(lo, hi, parts + 1)[:-1])
-    edges.append(b)
-    return np.array(edges)
+    cuts = np.array(sorted({a, b, *(p for p in breakpoints if a < p < b)}),
+                    dtype=float)
+    lo, width = cuts[:-1], np.diff(cuts)
+    parts = (np.ones(lo.size, dtype=int) if max_panel is None
+             else np.maximum(1, np.ceil(width / max_panel).astype(int)))
+    k = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+    return np.append(np.repeat(lo, parts) + k * np.repeat(width / parts, parts),
+                     b)
 
 
 def gauss_nodes(edges, n: int = 16, panel_budget: int = 100_000):

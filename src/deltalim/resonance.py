@@ -270,7 +270,9 @@ def classify_scaling(V: Potential, law: ScalingLaw,
     Robin(alpha) only for a resonant theta with the critical omega/eps term;
     a non-resonant theta, or any sub-critical remainder exponent in (1, 2),
     gives the Dirichlet Laplacian."""
+    if law.remainder_exponent is not None:
+        return LimitDescriptor(kind="dirichlet")
     hit = resonance_membership(V, law.theta, tol)
-    if hit is None or law.remainder_exponent is not None:
+    if hit is None:
         return LimitDescriptor(kind="dirichlet")
     return LimitDescriptor(kind="robin", alpha=robin_alpha(V, hit, law.omega))

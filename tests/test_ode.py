@@ -2,7 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from deltalim import ode, potential
 
@@ -191,3 +192,131 @@ def test_solve_ivp_has_one_call_site():
     users = sorted(p.name for p in src.glob("*.py")
                    if "solve_ivp" in p.read_text(encoding="utf-8"))
     assert users == ["ode.py"]
+
+
+def _scipy_read(sols, cuts, row, x):
+    """The read through scipy's own OdeSolution of each piece: the piece by
+    side="right" on the cuts, clipped, then OdeSolution.__call__."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((2, xs.size), dtype=sols[0](cuts[0]).dtype)
+    idx = np.clip(np.searchsorted(cuts, xs, side="right") - 1,
+                  0, len(sols) - 1)
+    for i, sol in enumerate(sols):
+        sel = idx == i
+        if np.any(sel):
+            out[:, sel] = sol(xs[sel])[row:row + 2]
+    if np.ndim(x) == 0:
+        return out[0, 0], out[1, 0]
+    return out[0], out[1]
+
+
+def _recording(monkeypatch):
+    """Record the OdeSolution of every solve_ivp call that march makes."""
+    sols = []
+
+    def solve(*args, **kwargs):
+        out = solve_ivp(*args, **kwargs)
+        sols.append(out.sol)
+        return out
+
+    monkeypatch.setattr(ode, "solve_ivp", solve)
+    return sols
+
+
+def _bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and all(np.array_equal(p, q) and
+                    np.array_equal(np.signbit(p), np.signbit(q))
+                    for p, q in ((a.real, b.real), (np.imag(a), np.imag(b)))))
+
+
+def _psi(V, theta, z):
+    traj = ode.solve_psi(V, theta, 1.0, z, tol=1e-10)
+    return [(traj, 0)]
+
+
+def _uv(V, theta, z):
+    eps = [1e-1, 1e-2, 1e-3]
+    bases = ode.solve_uv(V, [theta / e ** 2 + 2.0 / e for e in eps], eps, z,
+                         1e-10)
+    return [(view.base, 4 * k + 2 * j)
+            for k, pair in enumerate(bases) for j, view in enumerate(pair)]
+
+
+def _direct(V, theta, z):
+    def rhs(x, y):
+        return [y[1], (theta * V(x) - z) * y[0]]
+
+    y0 = np.array([0.3, -1.7], dtype=np.result_type(z, float))
+    return [(ode.Trajectory(*ode.march(V, rhs, y0, 1e-10, dense=True)), 0)]
+
+
+@pytest.mark.parametrize("z", [0.5 + 1.0j, -2.0], ids=["complex", "real"])
+@pytest.mark.parametrize("make_V, theta", [
+    (potential.square, -np.pi ** 2 / 4),
+    (lambda: potential.linear(0.6), -10.0),
+    (_two_piece, -17.0),
+], ids=["square", "linear", "two_piece"])
+@pytest.mark.parametrize("solve", [_psi, _uv, _direct],
+                         ids=["psi", "uv", "march"])
+def test_stacked_read_is_scipys_read(monkeypatch, solve, make_V, theta, z):
+    # the stacked read evaluates scipy's DOP853 interpolant bit for bit,
+    # on every step edge, every breakpoint, 0, x_end and between them
+    V = make_V()
+    sols = _recording(monkeypatch)
+    trajs = solve(V, theta, z)
+    cuts = np.asarray(V.breakpoints, dtype=float)
+    edges = np.concatenate([sol.ts for sol in sols])
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([edges, cuts, [0.0, -0.0, V.support_end],
+                         rng.uniform(0.0, V.support_end, 200)])
+    for traj, row in trajs:
+        assert traj.x_end == V.support_end
+        for got, want in zip(traj(xs), _scipy_read(sols, cuts, row, xs)):
+            assert _bit_equal(got, want)
+        for x in (0.0, float(cuts[-2]), float(edges[3]), 0.37):
+            got, want = traj(x), _scipy_read(sols, cuts, row, x)
+            assert all(np.ndim(g) == 0 and _bit_equal(g, w)
+                       for g, w in zip(got, want))
+        assert [a.size for a in traj(np.empty(0))] == [0, 0]
+
+
+def test_stacked_read_calls_no_scipy_interpolant(monkeypatch):
+    # a read touches only the arrays march stacked from the attributes
+    # t_old, h, y_old and F of each Dop853DenseOutput, never scipy's code
+    V = _two_piece()
+    sols = _recording(monkeypatch)
+    psi, chi = ode.solve_uv(V, -17.0, 1.0, 0.5 + 1.0j, tol=1e-10)
+    assert all(isinstance(step, Dop853DenseOutput)
+               for sol in sols for step in sol.interpolants)
+    xs = np.linspace(0.0, 1.0, 33)
+    want = [_scipy_read(sols, V.breakpoints, row, xs) for row in (0, 2)]
+
+    def refuse(self, t):
+        raise AssertionError("read through scipy's interpolant")
+
+    monkeypatch.setattr(Dop853DenseOutput, "_call_impl", refuse)
+    for view, (val, der) in zip((psi, chi), want):
+        got = view(xs)
+        assert _bit_equal(got[0], val) and _bit_equal(got[1], der)
+
+
+def test_stacked_read_keeps_the_step_rule():
+    # random interpolants disagree where neighbours meet, so scipy's rule
+    # shows: a step edge reads the lower step and a breakpoint the upper
+    # piece (on real marches the two sides agree to the last bit)
+    rng = np.random.default_rng(3)
+    cuts = np.array([0.0, 0.4, 1.0])
+    pieces = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        ts = np.concatenate([[lo], np.sort(rng.uniform(lo, hi, 4)), [hi]])
+        pieces.append([Dop853DenseOutput(a, b, rng.normal(size=4),
+                                         rng.normal(size=(7, 4)))
+                       for a, b in zip(ts[:-1], ts[1:])])
+    sols = [OdeSolution([s.t_old for s in p] + [p[-1].t], p) for p in pieces]
+    traj = ode.Trajectory(ode._DenseSteps.stack(cuts, pieces), np.zeros(4), 2)
+    xs = np.concatenate([np.concatenate([s.ts for s in sols]),
+                         [-0.5, 1.5], rng.uniform(0.0, 1.0, 50)])
+    for got, want in zip(traj(xs), _scipy_read(sols, cuts, 2, xs)):
+        assert _bit_equal(got, want)

@@ -65,3 +65,38 @@ def test_nodes_grouped_by_panel():
     assert np.array_equal(flat[0], nodes) and np.array_equal(flat[1], weights)
     with pytest.raises(QuadratureFailure):
         quadrature.gauss_nodes(edges, n=5, panel_budget=5 * edges.size - 6)
+
+
+def _edges_by_linspace(a, b, breakpoints=(), max_panel=None):
+    """The per-cut np.linspace loop that panel_edges vectorizes."""
+    if b <= a:
+        return np.empty(0)
+    cuts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    edges = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        parts = 1 if max_panel is None else max(1, int(np.ceil((hi - lo) / max_panel)))
+        edges.extend(np.linspace(lo, hi, parts + 1)[:-1])
+    edges.append(b)
+    return np.array(edges)
+
+
+def test_edges_equal_the_linspace_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        a, b = rng.uniform(-5.0, 5.0, 2) * 10.0 ** rng.integers(-3, 3)
+        cuts = list(rng.uniform(min(a, b) - 1.0, max(a, b) + 1.0,
+                                rng.integers(0, 10)))
+        if rng.random() < 0.3:       # cuts on a and b, and a duplicate
+            cuts += [a, b, cuts[0] if cuts else a]
+        max_panel = (None if rng.random() < 0.2
+                     else abs(b - a) * 10.0 ** rng.uniform(-3.0, 0.5))
+        got = quadrature.panel_edges(a, b, cuts, max_panel)
+        want = _edges_by_linspace(a, b, cuts, max_panel)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("max_panel", [0.0, -1.0, float("nan")])
+def test_edges_reject_a_nonpositive_max_panel(max_panel):
+    with pytest.raises(ValueError, match="max_panel"):
+        quadrature.panel_edges(0.0, 1.0, (0.5,), max_panel)

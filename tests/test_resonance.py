@@ -109,6 +109,16 @@ def test_classify_scaling_dichotomy():
     assert rem.kind == "dirichlet"
 
 
+def test_remainder_law_is_dirichlet_without_a_shot(count_calls):
+    # a sub-critical remainder selects Dirichlet at any theta, resonant or not
+    calls = count_calls(resonance, "resonance_membership")
+    for theta in (-np.pi ** 2 / 4, -1.0):
+        law = ScalingLaw(theta, 2.0, remainder_exponent=1.5)
+        assert resonance.classify_scaling(potential.square(), law) \
+            == LimitDescriptor(kind="dirichlet")
+    assert calls == []
+
+
 def test_scaling_law_validation():
     with pytest.raises(ValueError):
         ScalingLaw(-1.0, 1.0, remainder_exponent=2.5)
