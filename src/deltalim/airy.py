@@ -326,6 +326,17 @@ def _square_closed(theta: float, x: float):
     return np.sinh(s * x) / s, np.cosh(s * x)
 
 
+def _linear_pair(xi: float, theta: float, x: float = 1.0):
+    """(s, Airy quartets at s and at s*(1 - xi*x)) with s = cbrt(theta/xi^2),
+    or None where the square-well forms stand in (see _use_square)."""
+    if theta == 0.0:
+        raise ValueError("theta must be nonzero")
+    if _use_square(xi, theta):
+        return None
+    s = sigma_parameter(xi, theta)
+    return s, airy_quad(s), airy_quad(s * (1.0 - xi * x))
+
+
 def psi_linear_closed(xi: float, theta: float, x: float):
     """Zero-energy shooting solution for V_xi in Airy closed form.
 
@@ -333,28 +344,13 @@ def psi_linear_closed(xi: float, theta: float, x: float):
     guard band the square-well trigonometric form is used instead, avoiding
     catastrophic cancellation in the 1/(xi*sigma) prefactor.
     """
-    if theta == 0.0:
-        raise ValueError("theta must be nonzero")
-    if _use_square(xi, theta):
+    pair = _linear_pair(xi, theta, x)
+    if pair is None:
         return _square_closed(theta, x)
-    s = sigma_parameter(xi, theta)
-    w = s * (1.0 - xi * x)
-    at_s = airy_quad(s)
-    at_w = airy_quad(w)
+    s, at_s, at_w = pair
     psi = (np.pi / (xi * s)) * (at_s.bi * at_w.ai - at_s.ai * at_w.bi)
     dpsi = np.pi * (at_s.ai * at_w.dbi - at_s.bi * at_w.dai)
     return psi, dpsi
-
-
-def _linear_pair(xi: float, theta: float):
-    """(s, Airy quartets at s and at s*(1 - xi)) with s = cbrt(theta/xi^2), or
-    None where the square-well forms stand in (see _use_square)."""
-    if theta == 0.0:
-        raise ValueError("theta must be nonzero")
-    if _use_square(xi, theta):
-        return None
-    s = sigma_parameter(xi, theta)
-    return s, airy_quad(s), airy_quad(s * (1.0 - xi))
 
 
 def upsilon_linear_residual(xi: float, theta: float) -> float:

@@ -89,13 +89,22 @@ class Potential:
 
     @staticmethod
     def from_dict(spec: dict) -> "Potential":
+        """The potential a ``to_dict`` spec describes; ValueError if not."""
+        if not isinstance(spec, dict):
+            raise ValueError("potential spec must be a JSON object, got "
+                             f"{type(spec).__name__}")
         kind = spec.get("kind")
-        if kind == "square":
-            return square()
-        if kind == "linear":
-            return linear(float(spec["xi"]))
-        if kind == "piecewise":
-            return piecewise(spec["breakpoints"], spec["coeffs"])
+        try:
+            if kind == "square":
+                return square()
+            if kind == "linear":
+                return linear(float(spec["xi"]))
+            if kind == "piecewise":
+                return piecewise(spec["breakpoints"], spec["coeffs"])
+        except KeyError as exc:
+            raise ValueError(f"{kind} potential spec lacks {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed {kind} potential spec: {exc}") from None
         raise ValueError(f"unknown potential kind: {kind!r}")
 
     @staticmethod

@@ -5,7 +5,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = ["panel_edges", "gauss_nodes", "panel_nodes"]
+__all__ = ["panel_edges", "gauss_nodes"]
 
 _rule_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -52,13 +52,3 @@ def gauss_nodes(edges, n: int = 16, panel_budget: int = 100_000):
     h = 0.5 * np.diff(edges)[:, None]
     return (lo + h * (x + 1.0)).ravel(), (h * w).ravel()
 
-
-def panel_nodes(a: float, b: float, breakpoints=(), n: int = 16,
-                max_panel: float | None = None, panel_budget: int = 100_000):
-    """Gauss-Legendre nodes/weights on [a, b], split at interior breakpoints.
-
-    Panels longer than ``max_panel`` are subdivided uniformly.  Returns the
-    flat (nodes, weights) arrays.
-    """
-    return gauss_nodes(panel_edges(a, b, breakpoints, max_panel), n,
-                       panel_budget)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from . import quadrature
 from .errors import BracketScanTooCoarse, DegenerateProfile
 from .ode import DEFAULT_TOL, Trajectory, march, solve_psi
 from .potential import Potential
@@ -34,8 +33,6 @@ __all__ = [
 GRID_CELLS = 400
 CHEB_NODES = 12          # Chebyshev points per certified bracket
 CERTIFY_ROUNDS = 4      # node marches per root before a bracket is too coarse
-QUAD_NODES = 20
-QUAD_MAX_PANEL = 0.5
 _EPS = 4 * np.finfo(float).eps     # brentq's smallest rtol
 
 
@@ -111,14 +108,19 @@ def _nodes(a: float, b: float) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * x
 
 
-def _profile_integrals(V: Potential, traj: Trajectory):
-    """int_0^M V psi^2 and int_0^M (psi')^2 on one set of panel nodes."""
-    nodes, weights = quadrature.panel_nodes(
-        0.0, V.support_end, V.breakpoints, QUAD_NODES, QUAD_MAX_PANEL)
-    val, der = traj(nodes)
-    integral = np.sum(weights * (V(nodes) * np.real(val) ** 2))
-    slope = np.sum(weights * np.real(der) ** 2)
-    return float(integral), float(slope)
+def _shoot_profile(V: Potential, theta: float, tol: float):
+    """Dense zero-energy shot at theta that also marches I' = V psi^2 and
+    J' = (psi')^2 from 0, under the same error control as psi.  Returns the
+    trajectory of (psi, psi') and the end state [psi(M), psi'(M), I, J]."""
+
+    def rhs(x, y):
+        psi, dpsi, _, _ = y.tolist()
+        v = V(x)
+        return [dpsi, theta * v * psi, v * psi * psi, dpsi * dpsi]
+
+    steps, y_end = march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol,
+                         dense=True)
+    return Trajectory(steps, y_end), y_end.tolist()
 
 
 def _certify(V: Potential, a: float, b: float, root_tol: float,
@@ -131,7 +133,8 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
     already evaluated to their psi'(M), and those are not marched again.
     In each sub-interval between adjacent points whose values change sign,
     Brent's method finds the root of the Chebyshev interpolant, and one
-    scalar dense shot there is gated on |psi'(M)| <= root_tol*|dG/dtheta|*
+    scalar dense shot there, which also marches the profile integrals (and
+    so dG/dtheta = I/psi(M)), is gated on |psi'(M)| <= root_tol*|dG/dtheta|*
     (1+|theta|).  A hit keeps that shot's trajectory.  If the gate fails,
     the shot's sign picks the half of the sub-interval that holds the root,
     and the next round marches that half; after CERTIFY_ROUNDS rounds the
@@ -160,13 +163,11 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
             theta = brentq(lambda x: ends[x] if x in ends else cheb(x),
                            t[j], t[j + 1], rtol=_EPS,
                            xtol=_EPS * (abs(t[j]) + abs(t[j + 1])))
-            traj = solve_psi(V, theta, 0.0, 0.0, tol)
-            psi_m = float(np.real(traj.endpoint.value))
-            slope = float(np.real(traj.endpoint.derivative))
+            traj, (psi_m, slope, integral, slope_sq) = _shoot_profile(
+                V, theta, tol)
             if abs(psi_m) <= 1e-8 * (1.0 + abs(theta)):
                 raise DegenerateProfile(
                     f"profile vanishes at the support edge for theta={theta}")
-            integral, slope_sq = _profile_integrals(V, traj)
             dG = integral / psi_m
             threshold = root_tol * abs(dG) * (1.0 + abs(theta))
             if abs(slope) <= threshold:

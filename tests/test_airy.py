@@ -122,7 +122,8 @@ def test_weighted_square_integral_closed_form():
     closed = airy.linear_weighted_square_integral(xi, theta)
     V = potential.linear(xi)
     traj = ode.solve_psi(V, theta, tol=1e-12)
-    nodes, weights = quadrature.panel_nodes(0.0, 1.0, n=20, max_panel=0.25)
+    nodes, weights = quadrature.gauss_nodes(
+        quadrature.panel_edges(0.0, 1.0, max_panel=0.25), n=20)
     direct = np.sum(weights * V(nodes) * np.real(traj(nodes)[0]) ** 2)
     assert closed == pytest.approx(direct, rel=1e-9)
 
@@ -159,7 +160,9 @@ def test_sigma_parameter():
 
 @pytest.mark.parametrize("closed_form", [
     lambda xi, theta: airy.alpha_linear(xi, theta, 1.0),
-    airy.linear_weighted_square_integral])
+    airy.linear_weighted_square_integral,
+    pytest.param(lambda xi, theta: airy.psi_linear_closed(xi, theta, 1.0),
+                 id="psi_linear_closed")])
 def test_closed_forms_read_one_airy_pair(count_calls, closed_form):
     theta = airy.find_linear_resonances(0.7, (-30.0, -0.5), max_hits=1)[0]
     args = count_calls(airy, "airy_quad")

@@ -140,6 +140,16 @@ def test_missing_potential_file_is_domain_error(capsys):
                     "--theta-range", "-10:-1"]) == 1
 
 
+@pytest.mark.parametrize("spec", ['{"kind": "linear"}', "[1, 2]"])
+def test_malformed_potential_spec_is_domain_error(tmp_path, capsys, spec):
+    pot = tmp_path / "pot.json"
+    pot.write_text(spec)
+    assert cli.run(["resonances", "--potential", str(pot),
+                    "--theta-range", "-10:-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: ") and err.count("\n") == 1
+
+
 def test_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["resonances", "--potential", "square",

@@ -76,6 +76,17 @@ def test_json_round_trip(V, tmp_path):
 def test_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         Potential.from_dict({"kind": "gaussian"})
+    # a malformed spec is a ValueError that names the problem, never a
+    # KeyError, TypeError or AttributeError
+    for spec, problem in [([1, 2], "JSON object, got list"),
+                          ({"kind": "linear"}, "lacks 'xi'"),
+                          ({"kind": "linear", "xi": None}, "malformed linear"),
+                          ({"kind": "piecewise", "coeffs": [[1, 0, 0, 0]]},
+                           "lacks 'breakpoints'"),
+                          ({"kind": "piecewise", "breakpoints": [0, 1]},
+                           "lacks 'coeffs'")]:
+        with pytest.raises(ValueError, match=problem):
+            Potential.from_dict(spec)
 
 
 def test_dict_schema_field_names(tmp_path):

@@ -5,8 +5,9 @@ from deltalim import quadrature
 from deltalim.errors import QuadratureFailure
 
 
-def _weighted_sum(f, a, b, **kwargs):
-    nodes, weights = quadrature.panel_nodes(a, b, **kwargs)
+def _weighted_sum(f, a, b, breakpoints=(), n=16, max_panel=None):
+    nodes, weights = quadrature.gauss_nodes(
+        quadrature.panel_edges(a, b, breakpoints, max_panel), n)
     return np.sum(weights * np.asarray(f(nodes)))
 
 
@@ -34,13 +35,14 @@ def test_empty_interval():
 
 def test_budget_exceeded():
     with pytest.raises(QuadratureFailure):
-        quadrature.panel_nodes(0.0, 100.0, n=16, max_panel=1e-4,
-                               panel_budget=1000)
+        quadrature.gauss_nodes(quadrature.panel_edges(0.0, 100.0,
+                                                      max_panel=1e-4),
+                               n=16, panel_budget=1000)
 
 
 def test_nodes_respect_interior_breakpoints_only():
-    nodes, weights = quadrature.panel_nodes(0.0, 1.0, breakpoints=(0.5, 7.0),
-                                            n=4)
+    nodes, weights = quadrature.gauss_nodes(
+        quadrature.panel_edges(0.0, 1.0, breakpoints=(0.5, 7.0)), n=4)
     assert nodes.size == 8          # 7.0 lies outside and is ignored
     assert weights.sum() == pytest.approx(1.0)
 
@@ -61,8 +63,6 @@ def test_nodes_grouped_by_panel():
     assert np.all(rows.min(axis=1) > edges[:-1])
     assert np.all(rows.max(axis=1) < edges[1:])
     assert np.allclose(w.sum(axis=1), np.diff(edges), rtol=1e-14, atol=0.0)
-    flat = quadrature.panel_nodes(0.0, 3.0, (0.25, 1.0), 5, 0.5)
-    assert np.array_equal(flat[0], nodes) and np.array_equal(flat[1], weights)
     with pytest.raises(QuadratureFailure):
         quadrature.gauss_nodes(edges, n=5, panel_budget=5 * edges.size - 6)
 

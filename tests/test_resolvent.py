@@ -303,8 +303,8 @@ def _apply_per_x(k, f, x_points, f_breakpoints=(),
     (O(N_x * N_y) work)."""
     out = []
     for x in x_points:
-        nodes, weights = quadrature.panel_nodes(
-            0.0, y_max, (*k.kinks, k.x_m, *f_breakpoints, x), n, max_panel)
+        nodes, weights = quadrature.gauss_nodes(quadrature.panel_edges(
+            0.0, y_max, (*k.kinks, k.x_m, *f_breakpoints, x), max_panel), n)
         out.append(np.sum(weights * k(x, nodes) * f(nodes)))
     return np.array(out)
 

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from deltalim import airy, ode, potential, resonance
+from deltalim import airy, ode, potential, quadrature, resonance
 from deltalim.errors import BracketScanTooCoarse, NonConvergence
 from deltalim.resonance import LimitDescriptor, ScalingLaw
 
@@ -18,6 +18,18 @@ def _dG_dtheta_variational(V, theta, tol=1e-12):
         return [y[1], theta * v * y[0], y[3], theta * v * y[2] + v * y[0]]
 
     return float(ode.march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol)[1][3])
+
+
+def _profile_integrals(V, traj):
+    """Independent route to ResonanceHit.integral_I and dpsi_sq_integral:
+    int_0^M V psi^2 and int_0^M (psi')^2 by 20-point Gauss panels no wider
+    than 0.5 on the dense interpolant.  Good only while psi oscillates slowly
+    on that scale, which holds for |theta| up to a few hundred."""
+    nodes, weights = quadrature.gauss_nodes(
+        quadrature.panel_edges(0.0, V.support_end, V.breakpoints, 0.5), 20)
+    val, der = traj(nodes)
+    return (float(np.sum(weights * V(nodes) * np.real(val) ** 2)),
+            float(np.sum(weights * np.real(der) ** 2)))
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +196,7 @@ def test_residual_gate_scales_with_theta(monkeypatch, count_calls):
 def test_certify_shoot_budget(count_calls):
     # Brent's method refines the Chebyshev interpolant of one stacked march,
     # so the only scalar shot is the one the gate judges, and the hit keeps it
-    shoots = count_calls(resonance, "solve_psi")
+    shoots = count_calls(resonance, "_shoot_profile")
     hits = resonance.find_resonances(potential.square(), (-150.0, -100.0),
                                      root_tol=1e-8)
     exact = -(3.5 * np.pi) ** 2
@@ -193,7 +205,7 @@ def test_certify_shoot_budget(count_calls):
 
 
 def test_scan_integrates_no_coupling_twice(count_calls):
-    shoots = count_calls(resonance, "solve_psi")
+    shoots = count_calls(resonance, "_shoot_profile")
     hits = resonance.find_resonances(potential.square(), (-2000.0, -30.0))
     assert len(hits) == 12
     thetas = [args[1] for args in shoots]
@@ -204,14 +216,14 @@ def test_certify_keeps_only_the_hits_trajectories(monkeypatch):
     # with the cyclic collector off, a shot left in a reference cycle would
     # outlive the call: every shot is a hit's, and only the hits keep theirs
     refs = []
-    shoot = resonance.solve_psi
+    shoot = resonance._shoot_profile
 
     def tracked(*args, **kwargs):
-        traj = shoot(*args, **kwargs)
-        refs.append(weakref.ref(traj))
-        return traj
+        out = shoot(*args, **kwargs)
+        refs.append(weakref.ref(out[0]))
+        return out
 
-    monkeypatch.setattr(resonance, "solve_psi", tracked)
+    monkeypatch.setattr(resonance, "_shoot_profile", tracked)
     gc.collect()
     gc.disable()
     try:
@@ -249,7 +261,7 @@ def test_max_hits_straddling_zero_keeps_the_nearest(count_calls):
 def test_membership_shoots_no_coupling_twice(count_calls):
     # the bracket ends shot for the sign test are handed to Brent's method,
     # and the hit keeps the trajectory of the coupling Brent returns
-    shoots = count_calls(resonance, "solve_psi")
+    shoots = count_calls(resonance, "_shoot_profile")
     for theta in (-np.pi ** 2 / 4 + 1e-8, -(1.5 * np.pi) ** 2 * (1 + 3e-7)):
         shoots.clear()
         hit = resonance.resonance_membership(potential.square(), theta, 1e-6)
@@ -264,7 +276,7 @@ def test_membership_marches_its_ends_once(count_calls):
     # and a coupling off every resonance needs no scalar shot
     marches = count_calls(resonance, "march")
     count_calls(ode, "march", marches)
-    shoots = count_calls(resonance, "solve_psi")
+    shoots = count_calls(resonance, "_shoot_profile")
     assert resonance.resonance_membership(potential.square(), -3.0, 1e-6) is None
     assert [np.size(args[2]) for args in marches] == [2 * (6 + resonance.CHEB_NODES)]
     assert not shoots
@@ -273,7 +285,7 @@ def test_membership_marches_its_ends_once(count_calls):
 def test_resonant_membership_costs_one_march_and_one_shot(count_calls):
     marches = count_calls(resonance, "march")
     count_calls(ode, "march", marches)
-    shoots = count_calls(resonance, "solve_psi")
+    shoots = count_calls(resonance, "_shoot_profile")
     theta0 = -np.pi ** 2 / 4
     hit = resonance.resonance_membership(potential.square(), theta0 + 1e-8, 1e-6)
     assert hit.theta == pytest.approx(theta0, abs=1e-8)
@@ -321,6 +333,17 @@ def test_stacked_node_values_match_scalar_shots(V, cell):
     assert np.max(np.abs(stacked - scalar)) <= 1e-11 * np.max(np.abs(scalar))
 
 
+@pytest.mark.parametrize("V", [potential.square(), potential.linear(0.7),
+                               _TWO_PIECE])
+def test_marched_integrals_match_panel_quadrature(V):
+    hits = resonance.find_resonances(V, (-200.0, -0.5))
+    assert hits
+    for h in hits:
+        integral, slope_sq = _profile_integrals(V, h.trajectory)
+        assert h.integral_I == pytest.approx(integral, rel=1e-10)
+        assert h.dpsi_sq_integral == pytest.approx(slope_sq, rel=1e-10)
+
+
 def test_square_well_roots_accurate_over_a_wide_range():
     # default root_tol on (-2e4, -0.1): the first cell holds two roots and
     # shows no sign change (the open coarse-cell defect); every root found
@@ -334,8 +357,15 @@ def test_square_well_roots_accurate_over_a_wide_range():
 
 
 def test_linear_roots_match_the_airy_closed_form():
-    hits = resonance.find_resonances(potential.linear(0.7), (-2e4, -30.0))
+    V = potential.linear(0.7)
+    hits = resonance.find_resonances(V, (-2e4, -30.0))
     roots = airy.find_linear_resonances(0.7, (-2e4, -30.0))
     assert len(hits) == len(roots) == 35
     for h, r in zip(hits, sorted(roots, key=abs)):
         assert abs(h.theta - r) <= 1e-10 * abs(r)
+        # the profile integrals come from the march, so they stay right where
+        # psi oscillates far faster than any fixed panel rule resolves
+        assert resonance.robin_alpha(V, h, 1.0) == pytest.approx(
+            airy.alpha_linear(0.7, h.theta, 1.0), rel=1e-8)
+        assert abs(h.theta * h.integral_I + h.dpsi_sq_integral) \
+            <= 1e-10 * h.dpsi_sq_integral
