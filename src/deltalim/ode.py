@@ -4,8 +4,11 @@ Solves -psi'' + (theta*V - gamma*z)*psi = 0 on [0, M] with adaptive
 high-order Runge-Kutta stepping (DOP853), restarting at every breakpoint of V
 so that coefficient discontinuities never sit inside a step.  ``march`` is
 the one such integrator: shooting, the interior basis (u, v) and the
-stacked endpoint shots differ only in the right-hand side and initial state
-they hand it.  Small-range solves at scale eps are always
+profile integrals differ only in the right-hand side and initial state they
+hand it.  ``taylor_endpoints`` is the one exception: it needs only the real
+zero-energy endpoint (psi(M), psi'(M)) of a stack of couplings, and since V
+is a cubic on each piece it steps with an exact-order Taylor series, fixed
+in advance, instead.  Small-range solves at scale eps are always
 routed through the rescaling u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps),
 which keeps the integrated problem O(1) in the regime |lambda| = O(eps^-2).
 Along a critical schedule eps^2*lambda(eps) = theta + omega*eps, so the
@@ -19,6 +22,7 @@ tests/test_ode.py pins them and checks every read against scipy's own.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,7 @@ __all__ = [
     "Trajectory",
     "ScaledTrajectory",
     "march",
+    "taylor_endpoints",
     "solve_psi",
     "solve_uv",
     "DEFAULT_TOL",
@@ -177,6 +182,121 @@ def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
             pieces.append(sol.sol.interpolants)
         y = sol.y[:, -1].copy()
     return (_DenseSteps.stack(cuts, pieces) if dense else None), y
+
+
+_TAYLOR_RHO = 3.0        # kappa*h of a Taylor step: about half a local wavelength
+_TAYLOR_BLOCK = 1 << 15  # (step, coupling) pairs whose transfers are built at once
+
+
+def _local_coeffs(c, x0):
+    """(d0, d1, d2, d3) with V(x0 + t) = sum d_j t^j, for the cubic of global
+    coefficients c and each start x0 of an array: V(x0), V'(x0), V''(x0)/2
+    and c3.  d0 is Potential.__call__'s Horner sum."""
+    c0, c1, c2, c3 = c
+    return np.array([c0 + x0 * (c1 + x0 * (c2 + x0 * c3)),
+                     c1 + x0 * (2.0 * c2 + 3.0 * c3 * x0),
+                     c2 + 3.0 * c3 * x0,
+                     np.full_like(x0, c3)])
+
+
+def _taylor_order(tol: float) -> int:
+    """The smallest order p with rho^p/p! <= 1e-3*tol: the size, relative to
+    the state, of the first term a step drops."""
+    p, term = 1, _TAYLOR_RHO
+    while term > 1e-3 * tol:
+        p += 1
+        term *= _TAYLOR_RHO / p
+    return p
+
+
+def _taylor_steps(c, lo: float, hi: float, big: float) -> int:
+    """Steps across the piece [lo, hi] of the cubic c for couplings up to
+    |theta| = big: the fewest n with h*sqrt(big*B(h)) <= rho, h = (hi-lo)/n.
+
+    B(h) = sum_j |e_j| (L/2 + h)^j, with e the cubic about the midpoint,
+    bounds sum_j |d_j| h^j at every step start, so the terms b_k of every
+    step fall like rho^k/k!.  B(0) is max|V| for a constant or linear piece,
+    and then the count is the plain ceil(sqrt(big*max|V|)*L/rho)."""
+    half = 0.5 * (hi - lo)
+    e = np.abs(_local_coeffs(c, np.array(lo + half)))
+
+    def count(h):
+        bound = big * float(e @ (half + h) ** np.arange(4))
+        return max(1, math.ceil(2.0 * half * math.sqrt(bound) / _TAYLOR_RHO))
+
+    # B grows with h, so the count at the first guess's h is large enough
+    return count(2.0 * half / count(0.0))
+
+
+def _taylor_transfers(theta, d, h: float, p: int):
+    """Order-p Taylor transfers of steps of length h from starts whose local
+    coefficients are the columns of d, for every coupling.
+
+    Returns (val, der), each of shape (2, steps, couplings): column 0 starts
+    from (b0, b1) = (1, 0) and column 1 from (0, 1), and a step maps the
+    state (psi, h*psi') at its start to
+    (val[0]*psi + val[1]*h*psi', der[0]*psi + der[1]*h*psi').  Terms follow
+    b_{k+2} = theta*h^2*(d0 b_k + d1 h b_{k-1} + d2 h^2 b_{k-2} + d3 h^3
+    b_{k-3}) / ((k+1)(k+2)); a coefficient that is zero on every step is
+    left out."""
+    w = [(j, theta * (dj * h ** (j + 2))[:, None])
+         for j, dj in enumerate(d) if np.any(dj)]
+    b = np.zeros((2, 2, d.shape[1], theta.size))
+    b[0, 0] = b[1, 1] = 1.0
+    terms = list(b)         # the last five terms; terms[-1] is b_{k+1}
+    val, der = b[0] + b[1], b[1].copy()
+    for k in range(p - 1):
+        nxt = sum(wj * terms[-2 - j] for j, wj in w if j <= k)
+        nxt = nxt / ((k + 1) * (k + 2))
+        terms = terms[-4:] + [nxt]
+        val += nxt
+        der += (k + 2) * nxt
+    return val, der
+
+
+def taylor_endpoints(V: Potential, thetas, tol: float = DEFAULT_TOL):
+    """Endpoint data (psi(M), psi'(M)) of the zero-energy shooting solution
+    (psi(0)=0, psi'(0)=1 of psi'' = theta*V*psi) for an array of couplings.
+
+    Each piece of V is crossed in n equal steps, each an order-p Taylor
+    series whose terms come from the recurrence of ``_taylor_transfers``.
+    Both are fixed in advance, from the largest |theta| of the stack and from
+    tol (``_taylor_steps`` and ``_taylor_order``), so nothing is adaptive:
+    every coupling gets the same near machine-precision value it gets
+    alone, and a lone theta = 0 takes one exact step per piece.  The transfers of all steps and couplings
+    of a piece are built in a few array operations; only their product is a
+    loop over steps.  A state that overflows raises NonConvergence naming
+    its piece."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    theta = np.asarray(thetas, dtype=float)
+    big = float(np.max(np.abs(theta), initial=0.0))
+    if not math.isfinite(big):
+        raise ValueError("couplings must be finite")
+    p = _taylor_order(tol)
+    psi, dpsi = np.zeros_like(theta), np.ones_like(theta)
+    cuts = V.breakpoints
+    block = max(1, _TAYLOR_BLOCK // max(theta.size, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, c in zip(cuts[:-1], cuts[1:], V.coeffs):
+            n = _taylor_steps(c, lo, hi, big)
+            h = (hi - lo) / n
+            # a constant piece has one transfer, taken n times
+            repeat = 1 if any(c[1:]) else n
+            starts = lo + h * np.arange(n // repeat)
+            q = h * dpsi
+            for first in range(0, starts.size, block):
+                val, der = _taylor_transfers(
+                    theta, _local_coeffs(c, starts[first:first + block]), h, p)
+                for i in range(val.shape[1]):
+                    for _ in range(repeat):
+                        psi, q = (val[0, i] * psi + val[1, i] * q,
+                                  der[0, i] * psi + der[1, i] * q)
+            dpsi = q / h
+            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))):
+                raise NonConvergence(
+                    f"Taylor transfer overflowed on [{lo}, {hi}]")
+    return psi, dpsi
 
 
 def _energy_and_state(gamma, z, y0):

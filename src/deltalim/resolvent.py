@@ -20,9 +20,9 @@ import numpy as np
 
 from . import quadrature
 from .errors import SingularWronskian
-from .ode import DEFAULT_TOL, solve_uv
+from .ode import DEFAULT_TOL, solve_uv, taylor_endpoints
 from .potential import Potential
-from .resonance import ScalingLaw, _scan_slopes, classify_scaling
+from .resonance import ScalingLaw, classify_scaling
 
 __all__ = [
     "KernelEval",
@@ -259,7 +259,7 @@ def estimate_alpha(V: Potential, theta: float, omega: float, eps_list,
     At zero energy u(x) = eps*psi(x/eps) with psi the shooting solution at
     the coupling eps^2*lambda(eps) = theta + omega*eps, so alpha_eps =
     psi'(M)/(eps*psi(M)); every eps is one coupling of a single stacked
-    endpoint march.  The ratio has an O(eps) leading error (whence
+    Taylor transfer.  The ratio has an O(eps) leading error (whence
     Richardson/Neville in eps); theta must sit on a certified resonance for
     the sequence to converge.  The default tol is tighter than elsewhere
     because extrapolation amplifies integration noise at the smallest eps.
@@ -271,7 +271,7 @@ def estimate_alpha(V: Potential, theta: float, omega: float, eps_list,
         raise ValueError("eps_list must be positive and strictly decreasing")
     law = ScalingLaw(theta=theta, omega=omega)
     thetas = np.array([e * e * law.coupling(e) for e in eps])
-    psi_m, dpsi_m = _scan_slopes(V, thetas, tol)
+    psi_m, dpsi_m = taylor_endpoints(V, thetas, tol)
     vals = dpsi_m / (eps * psi_m)
     extrap = _neville_at_zero(eps, vals)
     gaps = np.abs(vals - extrap)

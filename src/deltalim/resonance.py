@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import BracketScanTooCoarse, DegenerateProfile
-from .ode import DEFAULT_TOL, Trajectory, march, solve_psi
+from .ode import DEFAULT_TOL, Trajectory, march, solve_psi, taylor_endpoints
 from .potential import Potential
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
 
 GRID_CELLS = 400
 CHEB_NODES = 12          # Chebyshev points per certified bracket
-CERTIFY_ROUNDS = 4      # node marches per root before a bracket is too coarse
+CERTIFY_ROUNDS = 4      # node transfers per root before a bracket is too coarse
 _EPS = 4 * np.finfo(float).eps     # brentq's smallest rtol
 
 
@@ -82,26 +82,6 @@ def shoot_residual(V: Potential, theta: float, tol: float = DEFAULT_TOL):
     return float(np.real(end.value)), float(np.real(end.derivative))
 
 
-def _scan_slopes(V: Potential, thetas: np.ndarray, tol: float):
-    """Endpoint data (psi(M), psi'(M)) of the zero-energy shooting solution
-    for a whole array of couplings, in one stacked non-dense integration.
-
-    The couplings share adaptive steps, so the error control is over all of
-    them together; at the certification ``tol`` each slope still agrees with
-    a scalar shot to about tol times the largest slope of the stack, which is
-    what the Chebyshev interpolant of ``_certify`` needs.  Every certified
-    root is then checked by one scalar dense shot."""
-    n = thetas.size
-
-    def rhs(x, y):
-        v = V(x)
-        return np.concatenate([y[n:], (thetas * v) * y[:n]])
-
-    y0 = np.concatenate([np.zeros(n), np.ones(n)])
-    y = march(V, rhs, y0, tol)[1]
-    return y[:n], y[n:]
-
-
 def _nodes(a: float, b: float) -> np.ndarray:
     """The CHEB_NODES first-kind Chebyshev points of (a, b), ascending."""
     x = np.polynomial.chebyshev.chebpts1(CHEB_NODES)
@@ -128,16 +108,16 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
     """Certify every root of psi'(M) that the Chebyshev points of (a, b)
     separate, and return their hits.
 
-    A round marches the CHEB_NODES Chebyshev points of its bracket, and the
-    bracket ends, in one stacked march at ``tol``; ``known`` maps couplings
-    already evaluated to their psi'(M), and those are not marched again.
-    In each sub-interval between adjacent points whose values change sign,
-    Brent's method finds the root of the Chebyshev interpolant, and one
+    A round shoots the CHEB_NODES Chebyshev points of its bracket, and the
+    bracket ends, in one stacked Taylor transfer at ``tol``; ``known`` maps
+    couplings already evaluated to their psi'(M), and those are not shot
+    again.  In each sub-interval between adjacent points whose values change
+    sign, Brent's method finds the root of the Chebyshev interpolant, and one
     scalar dense shot there, which also marches the profile integrals (and
     so dG/dtheta = I/psi(M)), is gated on |psi'(M)| <= root_tol*|dG/dtheta|*
     (1+|theta|).  A hit keeps that shot's trajectory.  If the gate fails,
     the shot's sign picks the half of the sub-interval that holds the root,
-    and the next round marches that half; after CERTIFY_ROUNDS rounds the
+    and the next round shoots that half; after CERTIFY_ROUNDS rounds the
     bracket is reported as too coarse."""
     known = dict(known or {})
     hits = []
@@ -148,7 +128,7 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
         t = [lo, *nodes.tolist(), hi]
         todo = [x for x in t if x not in known]
         if todo:
-            slopes = _scan_slopes(V, np.array(todo), tol)[1]
+            slopes = taylor_endpoints(V, np.array(todo), tol)[1]
             known.update(zip(todo, slopes.tolist()))
         g = np.array([known[x] for x in t])
         cheb = np.polynomial.Chebyshev.fit(nodes, g[1:-1], CHEB_NODES - 1,
@@ -156,7 +136,7 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
         cross = g[:-1] * g[1:] <= 0.0
         cross[1:] &= g[1:-1] != 0.0     # a zero point closes one sub-interval
         for j in np.flatnonzero(cross).tolist():
-            # the marched values stand at the ends, whose signs bracket the
+            # the shot values stand at the ends, whose signs bracket the
             # root even where the interpolant is poor (a bracket end is no
             # Chebyshev point); a polynomial costs nothing to refine fully
             ends = {t[j]: g[j], t[j + 1]: g[j + 1]}
@@ -201,7 +181,7 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
 
     A stacked grid scan with ``grid_cells`` cells finds the cells where
     psi'(M) changes sign.  Each such cell is certified by ``_certify``: one
-    stacked march of its Chebyshev points, Brent's method on their
+    stacked Taylor transfer of its Chebyshev points, Brent's method on their
     interpolant and one scalar dense shot per root, so a cell that holds an
     odd number of roots gives all of them (an even number shows no sign
     change and is not seen).  Hits are returned ordered by |theta| (the
@@ -211,8 +191,12 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
     lo, hi = map(float, theta_range)
     if not lo < hi:
         raise ValueError("empty theta range")
+    if grid_cells < 1:
+        raise ValueError(f"grid_cells must be at least 1, got {grid_cells}")
+    if max_hits is not None and max_hits < 0:
+        raise ValueError(f"max_hits must not be negative, got {max_hits}")
     grid = np.linspace(lo, hi, grid_cells + 1)
-    vals = _scan_slopes(V, grid, max(tol, 1e-9))[1]
+    vals = taylor_endpoints(V, grid, max(tol, 1e-9))[1]
 
     def nearest(i):
         a, b = grid[i], grid[i + 1]
@@ -245,13 +229,13 @@ def resonance_membership(V: Potential, theta: float, tol: float = 1e-6,
     Looks for a sign change of psi'(M) in a sequence of growing brackets
     around theta (the resonant set is discrete, so a tight local bracket
     decides membership).  The ends of all the brackets and the Chebyshev
-    points of the innermost one are shot in one stacked march at
+    points of the innermost one are shot in one stacked Taylor transfer at
     ``ode_tol``, and ``_certify`` reads them from there: a resonance in the
-    innermost bracket costs that march and one scalar dense shot."""
+    innermost bracket costs that transfer and one scalar dense shot."""
     half = tol * (1.0 + abs(theta))
     brackets = [(theta - w * half, theta + w * half) for w in (1.0, 4.0, 16.0)]
     thetas = np.concatenate([np.ravel(brackets), _nodes(*brackets[0])])
-    slopes = _scan_slopes(V, thetas, ode_tol)[1]
+    slopes = taylor_endpoints(V, thetas, ode_tol)[1]
     known = dict(zip(thetas.tolist(), slopes.tolist()))
     for a, b in brackets:
         fa, fb = known[a], known[b]

@@ -150,6 +150,19 @@ def test_malformed_potential_spec_is_domain_error(tmp_path, capsys, spec):
     assert err.startswith("ValueError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--grid-cells", "0", "grid_cells"), ("--grid-cells", "-3", "grid_cells"),
+    ("--max", "-2", "max_hits")])
+def test_resonances_options_out_of_range_are_domain_errors(tmp_path, capsys,
+                                                           flag, value, name):
+    out = tmp_path / "res.csv"
+    assert cli.run(["resonances", "--potential", "square", "--theta-range",
+                    "-30:-0.5", flag, value, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: ") and name in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["resonances", "--potential", "square",

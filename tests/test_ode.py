@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-from deltalim import ode, potential
+from deltalim import airy, ode, potential
+from deltalim.errors import NonConvergence
 
 
 def test_square_well_closed_form():
@@ -184,6 +185,104 @@ def test_stacked_basis_matches_one_pair_marches(make_V, theta, z):
         assert np.all(np.abs(uv * vd - ud * vv + 1.0) < 1e-9)
         ue, ve = views[0].endpoint, views[1].endpoint
         assert abs(ue.value * ve.derivative - ue.derivative * ve.value + 1.0) < 1e-9
+
+
+# -- the Taylor transfer of stacked zero-energy endpoints -------------------
+
+def _relative_gap(theta, got, want):
+    """Largest gap of (psi(M), psi'(M)) from the reference, with psi weighed
+    by sqrt|theta|, relative to sqrt(psi'^2 + |theta| psi^2) of the
+    reference: the state's amplitude, not its value near a zero."""
+    root = np.sqrt(np.abs(theta))
+    scale = np.hypot(want[1], root * want[0])
+    return np.max(np.maximum(root * np.abs(got[0] - want[0]),
+                             np.abs(got[1] - want[1])) / scale)
+
+
+def test_taylor_square_well_closed_forms():
+    V = potential.square()
+    theta = -np.concatenate([np.geomspace(0.1, 2e4, 150),
+                             np.linspace(0.1, 2e4, 401)])
+    k = np.sqrt(-theta)
+    got = ode.taylor_endpoints(V, theta, 1e-12)
+    assert _relative_gap(theta, got, (np.sin(k) / k, np.cos(k))) <= 1e-13
+    theta = np.geomspace(1e-3, 400.0, 60)
+    k = np.sqrt(theta)
+    psi, dpsi = ode.taylor_endpoints(V, theta, 1e-12)
+    assert np.max(np.abs(psi * k / np.sinh(k) - 1.0)) <= 1e-13
+    assert np.max(np.abs(dpsi / np.cosh(k) - 1.0)) <= 1e-13
+    # theta = 0 is one exact step: psi = x
+    psi, dpsi = ode.taylor_endpoints(V, np.array([0.0]), 1e-12)
+    assert psi.tolist() == [1.0] and dpsi.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("xi", [0.7, 1.5, -0.4])
+def test_taylor_linear_matches_airy_closed_form(xi):
+    theta = np.concatenate([-np.geomspace(0.5, 2e4, 80),
+                            np.geomspace(0.5, 400.0, 20)])
+    got = ode.taylor_endpoints(potential.linear(xi), theta, 1e-12)
+    want = np.array([airy.psi_linear_closed(xi, t, 1.0) for t in theta]).T
+    assert _relative_gap(theta, got, want) <= 5e-13
+
+
+@pytest.mark.parametrize("V", [
+    potential.piecewise((0.0, 0.45, 1.2), [(1.0, -0.5, 0.8, -1.2),
+                                           (0.6, 0.3, -0.2, 0.4)]),
+    # max|V| = 1 would allow one step at theta = -9, but |V| reaches 8 on
+    # that step's disc: counted from the real maximum, psi'(1) is 5e-3 off
+    potential.piecewise((0.0, 1.0), [(0.0, 4.0, -4.0, 0.0)]),
+], ids=["cubic", "bump"])
+def test_taylor_polynomial_pieces_match_the_march(V):
+    # no closed form here: the DOP853 march at 1e-13 is the oracle, and its
+    # own error, near 3e-13 of the amplitude, sets the bound
+    theta = np.array([-800.0, -200.0, -30.0, -9.0, -1.0, 0.0, 5.0, 40.0])
+    got = ode.taylor_endpoints(V, theta, 1e-12)
+    want = []
+    for t in theta:
+        def rhs(x, y, t=t):
+            return [y[1], t * V(x) * y[0]]
+        want.append(ode.march(V, rhs, np.array([0.0, 1.0]), 1e-13)[1])
+    assert _relative_gap(theta, got, np.array(want).T) <= 1e-12
+
+
+def test_taylor_values_do_not_depend_on_the_stack():
+    # steps are fixed by the largest |theta|, and order by tol, so a small
+    # coupling stacked with a deep one only takes more, shorter exact steps;
+    # an error control shared over the stack would move it by ~1e-13
+    V = potential.square()
+    theta = np.array([-2e4, -1.0, -0.1, 0.0, 3.0])
+    psi, dpsi = ode.taylor_endpoints(V, theta, 1e-12)
+    for t, p, d in zip(theta, psi, dpsi):
+        alone = ode.taylor_endpoints(V, np.array([t]), 1e-12)
+        assert abs(p - alone[0][0]) <= 1e-14 and abs(d - alone[1][0]) <= 1e-14
+
+
+def test_taylor_blocks_change_nothing(monkeypatch):
+    # the transfers of a piece are built a block of steps at a time; any
+    # block size gives the same bits
+    V, theta = potential.linear(0.7), -np.linspace(1.0, 2e4, 9)
+    whole = ode.taylor_endpoints(V, theta, 1e-12)
+    monkeypatch.setattr(ode, "_TAYLOR_BLOCK", 20)
+    for got, want in zip(ode.taylor_endpoints(V, theta, 1e-12), whole):
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+def test_taylor_invalid_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        ode.taylor_endpoints(potential.square(), np.array([-1.0]), tol)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), -float("inf")])
+def test_taylor_invalid_coupling(theta):
+    with pytest.raises(ValueError, match="couplings must be finite"):
+        ode.taylor_endpoints(potential.square(), np.array([-1.0, theta]), 1e-12)
+
+
+def test_taylor_overflow_names_its_piece():
+    V = potential.piecewise((0.0, 0.5, 1.0), [(0.0, 0, 0, 0), (1.0, 0, 0, 0)])
+    with pytest.raises(NonConvergence, match=r"\[0\.5, 1\.0\]"):
+        ode.taylor_endpoints(V, np.array([-1.0, 1e7]), 1e-12)
 
 
 def test_solve_ivp_has_one_call_site():

@@ -227,7 +227,8 @@ def test_convergence_study_monotone():
 
 def test_convergence_study_marches_the_basis_once(count_calls):
     # the bases of all five eps are one march of four rows per eps; the
-    # non-resonant membership test marches its bracket ends apart from it
+    # non-resonant membership test shoots its bracket ends by a Taylor
+    # transfer, apart from it
     marches = count_calls(ode, "march")
     f = lambda y: ((y >= 1.0) & (y <= 2.0)).astype(float)
     rows = resolvent.convergence_study(
@@ -239,14 +240,18 @@ def test_convergence_study_marches_the_basis_once(count_calls):
 
 
 def test_estimate_alpha_marches_once(count_calls):
-    # every eps is one coupling of a single stacked endpoint march
+    # every eps is one coupling of a single stacked Taylor transfer, and
+    # nothing is integrated by DOP853
+    transfers = count_calls(ode, "taylor_endpoints")
+    count_calls(resolvent, "taylor_endpoints", transfers)
     marches = count_calls(ode, "march")
     count_calls(resonance, "march", marches)
     shots = count_calls(ode, "solve_psi")
     count_calls(resonance, "solve_psi", shots)
     resolvent.estimate_alpha(potential.square(), THETA0, 1.0,
                              [1e-2, 1e-3, 1e-4])
-    assert len(marches) == 1 and not shots
+    assert [np.size(args[1]) for args in transfers] == [3]
+    assert not marches and not shots
 
 
 @pytest.fixture(scope="module")

@@ -145,6 +145,20 @@ def test_empty_range_rejected():
         resonance.find_resonances(potential.square(), (-1.0, -2.0))
 
 
+@pytest.mark.parametrize("option, value", [
+    ("grid_cells", 0), ("grid_cells", -3), ("max_hits", -2)])
+def test_scan_options_out_of_range_are_rejected(option, value):
+    # no grid cell, or a negative number of hits, would return [] unasked
+    with pytest.raises(ValueError, match=option):
+        resonance.find_resonances(potential.square(), (-30.0, -0.5),
+                                  **{option: value})
+
+
+def test_no_hits_asked_means_none_returned():
+    assert resonance.find_resonances(potential.square(), (-30.0, -0.5),
+                                     max_hits=0) == []
+
+
 def test_no_resonances_for_zero_potential():
     assert resonance.find_resonances(potential.zero(), (-50.0, -0.5)) == []
 
@@ -157,10 +171,9 @@ def test_shoot_residual_matches_trajectory():
     assert der == pytest.approx(np.real(end.derivative))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_scan_failure_names_its_segment():
-    # psi grows like exp(sqrt(theta)) here, so the stacked scan cannot finish;
-    # the overflow warns inside the integrator before march raises
+    # psi grows like exp(sqrt(theta)) here, so the stacked scan cannot
+    # finish; the transfer raises on the overflow, and warns of nothing
     with pytest.raises(NonConvergence, match=r"\[0\.0, 1\.0\]"):
         resonance.find_resonances(potential.square(), (1e5, 1e6))
 
@@ -186,11 +199,11 @@ def test_residual_gate_scales_with_theta(monkeypatch, count_calls):
     [hit] = certify_at(0.2)
     assert hit.residual > root_tol          # an absolute gate rejects this
     assert hit.residual <= root_tol * abs(hit.dG_dtheta) * (1.0 + abs(exact))
-    marches = count_calls(resonance, "_scan_slopes")
+    transfers = count_calls(resonance, "taylor_endpoints")
     with pytest.raises(BracketScanTooCoarse, match=r"exceeds .* = \d"):
         certify_at(2.0)
     # each failed gate halves the bracket for one more round, up to the cap
-    assert len(marches) == resonance.CERTIFY_ROUNDS
+    assert len(transfers) == resonance.CERTIFY_ROUNDS
 
 
 def test_certify_shoot_budget(count_calls):
@@ -270,27 +283,35 @@ def test_membership_shoots_no_coupling_twice(count_calls):
         assert len(set(thetas)) == len(thetas)
 
 
-def test_membership_marches_its_ends_once(count_calls):
-    # the six ends of the three nested brackets and the Chebyshev points of
-    # the innermost one are one stacked march (two state rows per coupling),
-    # and a coupling off every resonance needs no scalar shot
+def _count_transfers_and_marches(count_calls):
+    transfers = count_calls(resonance, "taylor_endpoints")
+    count_calls(ode, "taylor_endpoints", transfers)
     marches = count_calls(resonance, "march")
     count_calls(ode, "march", marches)
+    return transfers, marches
+
+
+def test_membership_marches_its_ends_once(count_calls):
+    # the six ends of the three nested brackets and the Chebyshev points of
+    # the innermost one are one stacked Taylor transfer, and a coupling off
+    # every resonance needs no scalar shot
+    transfers, marches = _count_transfers_and_marches(count_calls)
     shoots = count_calls(resonance, "_shoot_profile")
     assert resonance.resonance_membership(potential.square(), -3.0, 1e-6) is None
-    assert [np.size(args[2]) for args in marches] == [2 * (6 + resonance.CHEB_NODES)]
-    assert not shoots
+    assert [np.size(args[1]) for args in transfers] == [6 + resonance.CHEB_NODES]
+    assert not marches and not shoots
 
 
 def test_resonant_membership_costs_one_march_and_one_shot(count_calls):
-    marches = count_calls(resonance, "march")
-    count_calls(ode, "march", marches)
+    transfers, marches = _count_transfers_and_marches(count_calls)
     shoots = count_calls(resonance, "_shoot_profile")
     theta0 = -np.pi ** 2 / 4
     hit = resonance.resonance_membership(potential.square(), theta0 + 1e-8, 1e-6)
     assert hit.theta == pytest.approx(theta0, abs=1e-8)
-    # the march of the stacked couplings, then the one dense shot at the root
-    assert len(marches) == 2 and [args[1] for args in shoots] == [hit.theta]
+    # the transfer of the stacked couplings, then the one dense shot at the
+    # root, which is the only DOP853 march
+    assert [np.size(args[1]) for args in transfers] == [6 + resonance.CHEB_NODES]
+    assert len(marches) == 1 and [args[1] for args in shoots] == [hit.theta]
 
 
 def test_odd_roots_in_one_cell_are_all_certified():
@@ -324,13 +345,21 @@ _TWO_PIECE = potential.piecewise((0.0, 0.4, 1.0),
     (potential.square(), _cell(-2e4, -0.1, 400, -19544.28)),
 ])
 def test_stacked_node_values_match_scalar_shots(V, cell):
-    # the premise of certification: one stacked march of a cell's Chebyshev
-    # points gives each psi'(M) as a scalar shot does, so their interpolant
-    # can be trusted to locate the root
+    # the premise of certification: one stacked transfer of a cell's
+    # Chebyshev points gives each psi'(M) as a scalar shot does, so their
+    # interpolant can be trusted to locate the root.  On the deep and narrow
+    # square and linear cells a scalar DOP853 shot at 1e-12 is itself off
+    # by up to 1e-11 of the largest slope, so there the closed forms are the
+    # oracle; the two-piece cell and the wide shallow one keep the shot.
     nodes = resonance._nodes(*cell)
-    stacked = resonance._scan_slopes(V, nodes, 1e-12)[1]
-    scalar = np.array([resonance.shoot_residual(V, t, 1e-12)[1] for t in nodes])
-    assert np.max(np.abs(stacked - scalar)) <= 1e-11 * np.max(np.abs(scalar))
+    stacked = ode.taylor_endpoints(V, nodes, 1e-12)[1]
+    if V.kind == "square" and cell != (-70.0, -0.5):
+        oracle = np.cos(np.sqrt(-nodes))
+    elif V.kind == "linear":
+        oracle = np.array([airy.psi_linear_closed(V.xi, t, 1.0)[1] for t in nodes])
+    else:
+        oracle = np.array([resonance.shoot_residual(V, t, 1e-12)[1] for t in nodes])
+    assert np.max(np.abs(stacked - oracle)) <= 1e-11 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("V", [potential.square(), potential.linear(0.7),
