@@ -43,6 +43,9 @@ __all__ = [
 
 X_SWITCH = 9.0
 X_MAX = 200.0
+# above this, Bi = O(e^zeta), zeta = 2/3 x^1.5 > 666, nears the float64 range
+# and Ai its subnormal floor, so _linear_pair reads the pair in a gauge
+GAUGE_X = 100.0
 XI_SQUARE_GUARD = 1e-6   # |xi| below this routes to the square-well forms
 
 # double-double constants: Ai(0), -Ai'(0), sqrt(3)
@@ -217,7 +220,9 @@ def _asym_sum(coeff, zeta: float, alternating: bool, parity: int | None = None):
     return total
 
 
-def _asym_positive(x: float):
+def _asym_positive(x: float, gauge: float = 0.0):
+    """(Ai, Ai', Bi, Bi') at x > 0, with Ai and Ai' scaled by e^gauge and
+    Bi and Bi' by e^-gauge."""
     zeta = (2.0 / 3.0) * x ** 1.5
     root = x ** 0.25
     spi = np.sqrt(np.pi)
@@ -226,7 +231,7 @@ def _asym_positive(x: float):
     su = _asym_sum(_UK, zeta, False)
     sv = _asym_sum(_VK, zeta, False)
     with np.errstate(over="ignore"):
-        em, ep = np.exp(-zeta), np.exp(zeta)
+        em, ep = np.exp(gauge - zeta), np.exp(zeta - gauge)
         ai = em / (2.0 * spi * root) * su_alt
         dai = -root * em / (2.0 * spi) * sv_alt
         bi = ep / (spi * root) * su
@@ -326,15 +331,49 @@ def _square_closed(theta: float, x: float):
     return np.sinh(s * x) / s, np.cosh(s * x)
 
 
+def _airy_gauged(x: float, gauge: float) -> AiryQuad:
+    """The Airy quartet at x with Ai and Ai' scaled by e^gauge and Bi and
+    Bi' by e^-gauge; a product Ai(a)*Bi(b) of two such quartets is
+    unchanged."""
+    if x > X_SWITCH:
+        if not x <= X_MAX:
+            raise _range_error(x)
+        return AiryQuad(x, *_asym_positive(x, gauge))
+    q = airy_quad(x)
+    up, down = np.exp(gauge), np.exp(-gauge)
+    return AiryQuad(x, q.ai * up, q.dai * up, q.bi * down, q.dbi * down)
+
+
 def _linear_pair(xi: float, theta: float, x: float = 1.0):
     """(s, Airy quartets at s and at s*(1 - xi*x)) with s = cbrt(theta/xi^2),
-    or None where the square-well forms stand in (see _use_square)."""
+    or None where the square-well forms stand in (see _use_square).
+
+    Every closed form reads the two quartets through products Ai(.)*Bi(.)
+    and ratios of Ai to Ai, which a common gauge (Ai times e^g, Bi times
+    e^-g at both points) leaves unchanged.  Where Bi(s) or Bi(s*(1-xi*x))
+    would leave the float64 range, g is the mean of their exponents
+    2/3 x^1.5, so the pair stays finite wherever the closed form is;
+    otherwise g = 0.  Raises AiryRangeError naming s where a value is still
+    not finite."""
     if theta == 0.0:
         raise ValueError("theta must be nonzero")
     if _use_square(xi, theta):
         return None
     s = sigma_parameter(xi, theta)
-    return s, airy_quad(s), airy_quad(s * (1.0 - xi * x))
+    w = s * (1.0 - xi * x)
+    if max(s, w) <= GAUGE_X:
+        return s, airy_quad(s), airy_quad(w)
+    gauge = (max(s, 0.0) ** 1.5 + max(w, 0.0) ** 1.5) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = _airy_gauged(s, gauge), _airy_gauged(w, gauge)
+    _check_finite(s, [v for q in pair for v in (q.ai, q.dai, q.bi, q.dbi)])
+    return (s, *pair)
+
+
+def _check_finite(s: float, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise AiryRangeError(
+            f"Airy closed form overflows at s = {s} (float64 range)")
 
 
 def psi_linear_closed(xi: float, theta: float, x: float):
@@ -348,8 +387,10 @@ def psi_linear_closed(xi: float, theta: float, x: float):
     if pair is None:
         return _square_closed(theta, x)
     s, at_s, at_w = pair
-    psi = (np.pi / (xi * s)) * (at_s.bi * at_w.ai - at_s.ai * at_w.bi)
-    dpsi = np.pi * (at_s.ai * at_w.dbi - at_s.bi * at_w.dai)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = (np.pi / (xi * s)) * (at_s.bi * at_w.ai - at_s.ai * at_w.bi)
+        dpsi = np.pi * (at_s.ai * at_w.dbi - at_s.bi * at_w.dai)
+    _check_finite(s, (psi, dpsi))
     return psi, dpsi
 
 
@@ -361,20 +402,29 @@ def upsilon_linear_residual(xi: float, theta: float) -> float:
     pair = _linear_pair(xi, theta)
     if pair is None:
         return _square_closed(theta, 1.0)[1]
-    _, at_s, at_w = pair
-    return at_s.ai * at_w.dbi - at_s.bi * at_w.dai
+    s, at_s, at_w = pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = at_s.ai * at_w.dbi - at_s.bi * at_w.dai
+    _check_finite(s, res)
+    return res
 
 
 def _residual_grid(xi: float, thetas: np.ndarray) -> np.ndarray:
     """upsilon_linear_residual at each coupling of a 1-d array, bit for bit,
-    with the Airy pairs of all of them read by two airy_table calls."""
+    with the Airy pairs of all ungauged couplings read by two airy_table
+    calls; a gauged one (see _linear_pair) takes the scalar path."""
     out = np.empty(thetas.size)
     square = np.array([_use_square(xi, t) for t in thetas], dtype=bool)
     for i in np.flatnonzero(square):
         out[i] = _square_closed(thetas[i], 1.0)[1]
-    s = np.cbrt(thetas[~square] / (xi * xi))      # sigma_parameter
-    at_s, at_w = airy_table(s), airy_table(s * (1.0 - xi))
-    out[~square] = at_s[:, 0] * at_w[:, 3] - at_s[:, 2] * at_w[:, 1]
+    s = np.full(thetas.size, np.nan)
+    s[~square] = np.cbrt(thetas[~square] / (xi * xi))      # sigma_parameter
+    gauged = ~square & (np.fmax(s, s * (1.0 - xi)) > GAUGE_X)
+    for i in np.flatnonzero(gauged):
+        out[i] = upsilon_linear_residual(xi, float(thetas[i]))
+    table = ~square & ~gauged
+    at_s, at_w = airy_table(s[table]), airy_table(s[table] * (1.0 - xi))
+    out[table] = at_s[:, 0] * at_w[:, 3] - at_s[:, 2] * at_w[:, 1]
     return out
 
 

@@ -1,18 +1,19 @@
 """Cauchy problems for the half-line Schrodinger reductions.
 
-Solves -psi'' + (theta*V - gamma*z)*psi = 0 on [0, M] with adaptive
-high-order Runge-Kutta stepping (DOP853), restarting at every breakpoint of V
-so that coefficient discontinuities never sit inside a step.  ``march`` is
-the one such integrator: shooting, the interior basis (u, v) and the
-profile integrals differ only in the right-hand side and initial state they
-hand it.  ``taylor_endpoints`` is the one exception: it needs only the real
-zero-energy endpoint (psi(M), psi'(M)) of a stack of couplings, and since V
-is a cubic on each piece it steps with an exact-order Taylor series, fixed
-in advance, instead.  Small-range solves at scale eps are always
-routed through the rescaling u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps),
-which keeps the integrated problem O(1) in the regime |lambda| = O(eps^-2).
-Along a critical schedule eps^2*lambda(eps) = theta + omega*eps, so the
-bases of a whole eps sequence are marched together, on one set of steps.
+Solves -psi'' + (theta*V - gamma*z)*psi = 0 on [0, M].  V is a cubic on
+each piece, so the stacked solves step with an exact-order Taylor series
+whose steps and order are fixed in advance: ``taylor_endpoints`` gives the
+real zero-energy endpoint (psi(M), psi'(M)) of a stack of couplings, and
+``solve_uv`` the dense, possibly complex, interior basis (u, v) of every
+resolvent kernel, whose step series are themselves its dense output.
+``march`` is the one adaptive integrator: DOP853, restarting at every
+breakpoint of V so that coefficient discontinuities never sit inside a
+step.  It keeps only the certifying gate shot and ``solve_psi``.
+Small-range solves at scale eps are always routed through the rescaling
+u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps), which keeps the integrated
+problem O(1) in the regime |lambda| = O(eps^-2).  Along a critical schedule
+eps^2*lambda(eps) = theta + omega*eps, so the bases of a whole eps sequence
+are one transfer, on one set of steps.
 
 A dense march keeps no per-step scipy objects: it stacks the attributes
 ``t_old``, ``h``, ``y_old`` and ``F`` of every step's ``Dop853DenseOutput``
@@ -137,13 +138,12 @@ class Trajectory:
 
 
 class ScaledTrajectory:
-    """View of a [0, M] trajectory rescaled to [0, eps*M]: value
-    factor*base(x/eps), derivative base'(x/eps)/divisor.  The interior
-    solution u takes (factor, divisor) = (eps, 1), its companion v takes
-    (1, eps)."""
+    """View of a [0, M] trajectory (a ``Trajectory`` or one solution of the
+    Taylor basis) rescaled to [0, eps*M]: value factor*base(x/eps),
+    derivative base'(x/eps)/divisor.  The interior solution u takes
+    (factor, divisor) = (eps, 1), its companion v takes (1, eps)."""
 
-    def __init__(self, base: Trajectory, eps: float, factor: float,
-                 divisor: float):
+    def __init__(self, base, eps: float, factor: float, divisor: float):
         self.base = base
         self.eps = float(eps)
         self.factor = float(factor)
@@ -172,7 +172,7 @@ def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
         raise ValueError("tol must be positive")
     cuts = V.breakpoints
     pieces = []
-    y = np.asarray(y0)
+    y = y0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
                         rtol=tol, atol=tol * 1e-3, dense_output=dense)
@@ -209,48 +209,66 @@ def _taylor_order(tol: float) -> int:
     return p
 
 
-def _taylor_steps(c, lo: float, hi: float, big: float) -> int:
+def _taylor_steps(c, lo: float, hi: float, big: float,
+                  shift: float = 0.0) -> int:
     """Steps across the piece [lo, hi] of the cubic c for couplings up to
-    |theta| = big: the fewest n with h*sqrt(big*B(h)) <= rho, h = (hi-lo)/n.
+    |theta| = big and energy shifts up to |gamma*z| = shift: the fewest n
+    with h*sqrt(big*B(h) + shift) <= rho, h = (hi-lo)/n.
 
     B(h) = sum_j |e_j| (L/2 + h)^j, with e the cubic about the midpoint,
     bounds sum_j |d_j| h^j at every step start, so the terms b_k of every
     step fall like rho^k/k!.  B(0) is max|V| for a constant or linear piece,
-    and then the count is the plain ceil(sqrt(big*max|V|)*L/rho)."""
+    and then the count is the plain ceil(sqrt(big*max|V| + shift)*L/rho)."""
     half = 0.5 * (hi - lo)
     e = np.abs(_local_coeffs(c, np.array(lo + half)))
 
     def count(h):
-        bound = big * float(e @ (half + h) ** np.arange(4))
+        bound = big * float(e @ (half + h) ** np.arange(4)) + shift
         return max(1, math.ceil(2.0 * half * math.sqrt(bound) / _TAYLOR_RHO))
 
     # B grows with h, so the count at the first guess's h is large enough
     return count(2.0 * half / count(0.0))
 
 
-def _taylor_transfers(theta, d, h: float, p: int):
-    """Order-p Taylor transfers of steps of length h from starts whose local
-    coefficients are the columns of d, for every coupling.
+def _taylor_terms(theta, d, h: float, p: int, gz=None):
+    """Yield the terms b_0, ..., b_p of order-p Taylor steps of length h
+    from starts whose local coefficients are the columns of d, for every
+    coupling: psi(x_i + s*h) = sum_k b_k s^k.
 
-    Returns (val, der), each of shape (2, steps, couplings): column 0 starts
-    from (b0, b1) = (1, 0) and column 1 from (0, 1), and a step maps the
-    state (psi, h*psi') at its start to
-    (val[0]*psi + val[1]*h*psi', der[0]*psi + der[1]*h*psi').  Terms follow
-    b_{k+2} = theta*h^2*(d0 b_k + d1 h b_{k-1} + d2 h^2 b_{k-2} + d3 h^3
-    b_{k-3}) / ((k+1)(k+2)); a coefficient that is zero on every step is
-    left out."""
+    Each term has shape (2, steps, couplings): column 0 starts from
+    (b0, b1) = (1, 0) and column 1 from (0, 1), i.e. from (psi, h*psi') at
+    the step start.  Terms follow b_{k+2} = h^2*(theta*(d0 b_k + d1 h b_{k-1}
+    + d2 h^2 b_{k-2} + d3 h^3 b_{k-3}) - gz b_k) / ((k+1)(k+2)), the
+    recurrence of psi'' = (theta*V - gz)*psi; a coefficient of V that is
+    zero on every step is left out, and so is gz when it is None."""
     w = [(j, theta * (dj * h ** (j + 2))[:, None])
          for j, dj in enumerate(d) if np.any(dj)]
+    if gz is not None:
+        w.append((0, -gz * (h * h)))
     b = np.zeros((2, 2, d.shape[1], theta.size))
     b[0, 0] = b[1, 1] = 1.0
     terms = list(b)         # the last five terms; terms[-1] is b_{k+1}
-    val, der = b[0] + b[1], b[1].copy()
+    yield from terms
     for k in range(p - 1):
         nxt = sum(wj * terms[-2 - j] for j, wj in w if j <= k)
         nxt = nxt / ((k + 1) * (k + 2))
         terms = terms[-4:] + [nxt]
+        yield nxt
+
+
+def _taylor_transfers(theta, d, h: float, p: int):
+    """The step transfers of ``_taylor_terms``, summed as the terms come, so
+    no more than five of them are held at once.
+
+    Returns (val, der), each of shape (2, steps, couplings): a step maps
+    the state (psi, h*psi') at its start to
+    (val[0]*psi + val[1]*h*psi', der[0]*psi + der[1]*h*psi')."""
+    terms = _taylor_terms(theta, d, h, p)
+    b0, b1 = next(terms), next(terms)
+    val, der = b0 + b1, b1.copy()
+    for k, nxt in enumerate(terms, 2):
         val += nxt
-        der += (k + 2) * nxt
+        der += k * nxt
     return val, der
 
 
@@ -321,36 +339,125 @@ def solve_psi(V: Potential, theta: float, gamma: float = 0.0, z=0.0,
     return Trajectory(*march(V, rhs, y0, tol, dense=True))
 
 
+def _taylor_basis(V: Potential, theta, gz, y, tol: float):
+    """Dense Taylor transfer of psi'' = (theta_k*V - gz_k)*psi for a stack
+    of couplings and two solutions of each, from the state y at 0, of shape
+    (2, 2, couplings):
+    (value, slope) x (solution, coupling).
+
+    The steps are those of ``taylor_endpoints``, counted from the largest
+    |theta| plus the largest |gz|, and one transfer per step and coupling
+    carries both solutions.  The terms of each step are kept as the dense
+    output: solution j of coupling k has psi(x_i + s*h) = sum_m a_m s^m,
+    a_m = psi_i*b_m(col 0) + h*psi'_i*b_m(col 1).  Returns the step starts,
+    the step lengths, the coefficients, shape (2*couplings, steps, 2, p+1),
+    of (value, slope) of each solution, and the state at M, shape
+    (2*couplings, 2).  A state that overflows raises NonConvergence naming
+    its piece."""
+    big = float(np.max(np.abs(theta)))
+    shift = float(np.max(np.abs(gz)))
+    if not math.isfinite(big + shift):
+        raise ValueError("couplings and energies must be finite")
+    p = _taylor_order(tol)
+    order = np.arange(p + 1)
+    starts, lengths, coeffs = [], [], []
+    cuts = V.breakpoints
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, c in zip(cuts[:-1], cuts[1:], V.coeffs):
+            n = _taylor_steps(c, lo, hi, big, shift)
+            h = (hi - lo) / n
+            x0 = lo + h * np.arange(n)
+            b = np.stack(list(_taylor_terms(theta, _local_coeffs(c, x0), h,
+                                            p, gz)))
+            val = b.sum(axis=0)
+            der = np.tensordot(order, b, axes=1)
+            at = np.empty((n, *y.shape), dtype=np.result_type(val, y))
+            psi, q = y[0], h * y[1]
+            for i in range(n):
+                at[i] = psi, q
+                psi, q = (val[0, i] * psi + val[1, i] * q,
+                          der[0, i] * psi + der[1, i] * q)
+            y = np.array([psi, q / h])
+            if not np.all(np.isfinite(y)):
+                raise NonConvergence(
+                    f"Taylor transfer overflowed on [{lo}, {hi}]")
+            # (term, step, solution, coupling)
+            a = (b[:, 0, :, None] * at[None, :, 0]
+                 + b[:, 1, :, None] * at[None, :, 1])
+            slope = np.zeros_like(a)
+            slope[:-1] = order[1:, None, None, None] * a[1:] / h
+            starts.append(x0)
+            lengths.append(np.full(n, h))
+            coeffs.append(np.stack([a, slope]))
+    # (value/slope, term, step, solution, coupling) ->
+    # (coupling, solution, step, value/slope, term), one block per solution
+    table = np.concatenate(coeffs, axis=2).transpose(4, 3, 2, 0, 1)
+    return (np.concatenate(starts), np.concatenate(lengths),
+            np.ascontiguousarray(table.reshape(-1, *table.shape[2:])),
+            y.transpose(2, 1, 0).reshape(-1, 2))
+
+
+class _TaylorTrajectory:
+    """One solution of a dense ``_taylor_basis`` on [0, x_end], with
+    Trajectory's interface.  A read picks each point's step with
+    side="right" (a step start, breakpoints among them, belongs to the step
+    it starts) and sums that step's series at s = (x - x_i)/h."""
+
+    def __init__(self, starts, lengths, coeffs, y_end, x_end: float):
+        self.starts = starts        # shared by every solution of the basis
+        self._lengths = lengths
+        self._coeffs = coeffs       # (steps, 2, p+1): (value, slope) terms
+        self._y_end = y_end
+        self._x_end = float(x_end)
+
+    @property
+    def x_end(self) -> float:
+        return self._x_end
+
+    @property
+    def endpoint(self) -> CauchyState:
+        return CauchyState(self._x_end, self._y_end[0], self._y_end[1])
+
+    def __call__(self, x):
+        """Return (value, derivative) at x (scalar or array)."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        i = np.maximum(np.searchsorted(self.starts, xs, side="right") - 1, 0)
+        s = (xs - self.starts[i]) / self._lengths[i]
+        out = np.einsum("nrk,nk->rn", self._coeffs[i],
+                        np.vander(s, self._coeffs.shape[2], increasing=True))
+        if np.isscalar(x) or np.asarray(x).ndim == 0:
+            return out[0, 0], out[1, 0]
+        return out[0], out[1]
+
+
 def solve_uv(V: Potential, lam, eps, z, tol: float = DEFAULT_TOL):
     """Interior basis (u, v) on [0, eps*M]: u(0)=0, u'(0)=1 and v(0)=1,
     v'(0)=0, so W(u, v) = -1.
 
-    Both come from a march of (psi, psi', psi~, psi~') at theta =
-    eps^2*lam, gamma = eps^2, and read its steps as two rescaled views:
-    u(x) = eps*psi(x/eps) and v(x) = psi~(x/eps), whose slope is divided by
-    eps instead.  For sequences lam and eps, every pair (lam_k, eps_k) is
-    one block of four rows of a single stacked march, and the result is the
-    list of their (u, v); each view reads its own rows of the shared
-    steps.  The pairs share adaptive steps, so the error control is over
-    all of them together.
+    Both come from one dense Taylor transfer of psi'' = (theta*V - gamma*z)
+    *psi at theta = eps^2*lam, gamma = eps^2, read as two rescaled views:
+    u(x) = eps*psi(x/eps) with psi(0)=0, psi'(0)=1, and v(x) = psi~(x/eps)
+    with psi~(0)=1, psi~'(0)=0, whose slope is divided by eps instead.  For
+    sequences lam and eps, every pair (lam_k, eps_k) is one coupling of the
+    same transfer, and the result is the list of their (u, v).  Its steps
+    are fixed in advance from the largest coupling and tol, as in
+    ``taylor_endpoints``, so each pair gets the near machine-precision basis
+    it gets alone.
     """
     lams, epss = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(eps, dtype=float))
     if np.any(epss <= 0):
         raise ValueError("eps must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     epss = np.atleast_1d(epss)
-    theta = np.repeat(epss * epss * np.atleast_1d(lams), 2)   # per (value, slope) pair
-    gz, y0 = _energy_and_state(np.repeat(epss * epss, 2), z,
-                               np.tile((0.0, 1.0, 1.0, 0.0), epss.size))
-
-    def rhs(x, y):
-        dy = np.empty_like(y)
-        dy[0::2] = y[1::2]
-        dy[1::2] = (theta * V(x) - gz) * y[0::2]
-        return dy
-
-    steps, y_end = march(V, rhs, y0, tol, dense=True)
-    bases = [(ScaledTrajectory(Trajectory(steps, y_end, 4 * k), e, e, 1.0),
-              ScaledTrajectory(Trajectory(steps, y_end, 4 * k + 2), e, 1.0, e))
+    gz, y0 = _energy_and_state(epss * epss, z, np.multiply.outer(
+        [[0.0, 1.0], [1.0, 0.0]], np.ones(epss.size)))
+    starts, lengths, coeffs, ends = _taylor_basis(
+        V, epss * epss * np.atleast_1d(lams), gz, y0, tol)
+    views = [_TaylorTrajectory(starts, lengths, c, y, V.support_end)
+             for c, y in zip(coeffs, ends)]
+    bases = [(ScaledTrajectory(views[2 * k], e, e, 1.0),
+              ScaledTrajectory(views[2 * k + 1], e, 1.0, e))
              for k, e in enumerate(epss.tolist())]
     return bases[0] if lams.ndim == 0 else bases

@@ -70,7 +70,10 @@ class KernelEval:
     d: complex = 0j
     K: complex = 0j                   # Wronskian W(phi1, phi2) = -2*a*kappa
     x_m: float = 0.0                  # eps * M, edge of the shrunk support
-    kinks: tuple[float, ...] = ()     # eps * inner breakpoints of V: G'' jumps
+    # eps * the inner step starts of the basis: V's inner breakpoints, where
+    # G'' jumps, and the cuts that keep each panel inside one Taylor step
+    # (about half a local wavelength)
+    kinks: tuple[float, ...] = ()
     alpha: float | None = None
     lam: float | None = None
     eps: float | None = None
@@ -145,7 +148,7 @@ def _matched_kernel(V: Potential, lam: float, eps: float, z, kappa: complex,
     return KernelEval(kind="scaled", z=complex(z), kappa=kappa,
                       a=complex(a), b=complex(b), c=complex(c), d=complex(d),
                       K=complex(K), x_m=x_m,
-                      kinks=tuple(eps * p for p in V.breakpoints[1:-1]),
+                      kinks=tuple((eps * u.base.starts[1:]).tolist()),
                       lam=float(lam), eps=float(eps), u=u, v=v)
 
 
@@ -186,8 +189,9 @@ def apply_resolvent(k: KernelEval, f, x_points, f_breakpoints=(),
                      / (2*a*kappa),
 
     and both integrals are cumulative sums over one set of Gauss-Legendre
-    panels with edges at 0, the kernel's kinks, x_m, f's breakpoints, every
-    x in [0, y_max] and y_max, no panel wider than max_panel or
+    panels with edges at 0, the kernel's kinks (eps times the step starts of
+    its basis), x_m, f's breakpoints, every x in [0, y_max] and y_max, no
+    panel wider than max_panel or
     DECAY_PANEL/Re kappa: O(N_x + N_y) work.  f is called once, on that
     whole node set, and ``panel_budget`` bounds the one shared set; f must
     be negligible beyond y_max.  The sums carry the bounded factors of
@@ -300,9 +304,10 @@ def convergence_study(V: Potential, law: ScalingLaw, z, f, eps_list, x_grid,
     """Discrete L^2 error of the scaled resolvent against the limit selected
     by classify_scaling, for each eps in eps_list.
 
-    The interior bases of every eps come from one stacked march (the scaled
-    couplings eps^2*lambda(eps) differ by O(eps), so they share its steps);
-    each eps then matches its own kernel to the exterior."""
+    The interior bases of every eps come from one dense Taylor transfer
+    (``solve_uv``), whose fixed steps are counted from the largest scaled
+    coupling eps^2*lambda(eps); each eps then matches its own kernel to the
+    exterior."""
     xs = np.asarray(x_grid, dtype=float)
     limit = classify_scaling(V, law)
     if limit.kind == "robin":

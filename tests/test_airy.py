@@ -307,3 +307,46 @@ def test_exact_grid_zeros_are_reported_once(monkeypatch):
     roots = airy.find_linear_resonances(xi, theta_range, grid_cells=cells)
     assert roots == sorted(found + [float(grid[i]) for i in zeroed], key=abs)
     assert len(set(roots)) == len(roots)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms where Bi leaves the float64 range: Bi(s) overflows near
+# s = 104, inside the Airy range |s| <= 200
+
+
+@pytest.mark.parametrize("xi,s", [
+    (1e-3, 112.8), (1e-3, 99.0), (1e-3, 101.0), (1e-3, 104.2), (1e-3, 150.0),
+    (1e-3, 199.0), (-1e-3, 104.0), (-1e-3, 120.0), (1e-2, 105.0),
+    (0.1, 104.5), (0.5, 110.0), (1.5, 101.0), (1e-4, 130.0)])
+def test_closed_forms_past_the_bi_overflow(xi, s):
+    # psi_linear_closed(1e-3, 1.4366, 1.0) was NaN: Bi(112.8) overflows and
+    # Ai(112.7) underflows; the Taylor transfer is the reference
+    theta = s ** 3 * xi * xi
+    got = airy.psi_linear_closed(xi, theta, 1.0)
+    want = ode.taylor_endpoints(potential.linear(xi), np.array([theta]), 1e-12)
+    for g, w in zip(got, want):
+        assert abs(g / w[0] - 1.0) <= 1e-10
+    res = airy.upsilon_linear_residual(xi, theta)
+    assert res / got[1] == pytest.approx(1.0 / np.pi, rel=1e-12)
+    grid = np.array([theta, 0.9 * theta, 1.1 * theta])
+    _assert_identical(airy._residual_grid(xi, grid),
+                      np.array([airy.upsilon_linear_residual(xi, t)
+                                for t in grid]))
+
+
+def test_reported_overflow_point():
+    psi, dpsi = airy.psi_linear_closed(1e-3, 1.4366, 1.0)
+    assert psi == pytest.approx(1.25709, rel=1e-5)
+    assert np.isfinite(dpsi)
+
+
+@pytest.mark.parametrize("xi,theta", [(0.5, 2e6), (1.5, 2.25 * 150.0 ** 3)])
+def test_closed_form_overflow_names_sigma(xi, theta):
+    # psi grows like e^(2/3 s^1.5) here, beyond the float64 range: raise,
+    # never NaN or inf
+    s = airy.sigma_parameter(xi, theta)
+    for closed_form in (lambda: airy.psi_linear_closed(xi, theta, 1.0),
+                        lambda: airy.upsilon_linear_residual(xi, theta),
+                        lambda: airy._residual_grid(xi, np.array([theta]))):
+        with pytest.raises(AiryRangeError, match=f"s = {s}"):
+            closed_form()

@@ -335,12 +335,28 @@ def _psi(V, theta, z):
     return [(traj, 0)]
 
 
+def _uv_march(V, theta, z, eps, tol=1e-10):
+    """The four-row (psi, psi', psi~, psi~') basis march of every eps at
+    theta_k = eps_k^2*lam_k, gamma_k = eps_k^2, stacked in one DOP853 march
+    (the interior basis itself is a Taylor transfer)."""
+    eps = np.asarray(eps)
+    lam = theta / eps ** 2 + 2.0 / eps
+    thetas, gz = np.repeat(eps * eps * lam, 2), np.repeat(eps * eps * z, 2)
+
+    def rhs(x, y):
+        dy = np.empty_like(y)
+        dy[0::2] = y[1::2]
+        dy[1::2] = (thetas * V(x) - gz) * y[0::2]
+        return dy
+
+    y0 = np.tile(np.array([0.0, 1.0, 1.0, 0.0], dtype=gz.dtype), eps.size)
+    return ode.march(V, rhs, y0, tol, dense=True)
+
+
 def _uv(V, theta, z):
-    eps = [1e-1, 1e-2, 1e-3]
-    bases = ode.solve_uv(V, [theta / e ** 2 + 2.0 / e for e in eps], eps, z,
-                         1e-10)
-    return [(view.base, 4 * k + 2 * j)
-            for k, pair in enumerate(bases) for j, view in enumerate(pair)]
+    steps, y_end = _uv_march(V, theta, z, [1e-1, 1e-2, 1e-3])
+    return [(ode.Trajectory(steps, y_end, row), row)
+            for row in range(0, y_end.size, 2)]
 
 
 def _direct(V, theta, z):
@@ -386,7 +402,8 @@ def test_stacked_read_calls_no_scipy_interpolant(monkeypatch):
     # t_old, h, y_old and F of each Dop853DenseOutput, never scipy's code
     V = _two_piece()
     sols = _recording(monkeypatch)
-    psi, chi = ode.solve_uv(V, -17.0, 1.0, 0.5 + 1.0j, tol=1e-10)
+    steps, y_end = _uv_march(V, -17.0, 0.5 + 1.0j, [1.0])
+    psi, chi = (ode.Trajectory(steps, y_end, row) for row in (0, 2))
     assert all(isinstance(step, Dop853DenseOutput)
                for sol in sols for step in sol.interpolants)
     xs = np.linspace(0.0, 1.0, 33)
@@ -419,3 +436,93 @@ def test_stacked_read_keeps_the_step_rule():
                          [-0.5, 1.5], rng.uniform(0.0, 1.0, 50)])
     for got, want in zip(traj(xs), _scipy_read(sols, cuts, 2, xs)):
         assert _bit_equal(got, want)
+
+
+# -- the dense Taylor basis (u, v) of solve_uv --------------------------------
+
+def _basis_points(u, rng):
+    """Step starts, breakpoints, 0, x_end and random points of a basis view,
+    in its own [0, eps*M]."""
+    e = u.eps
+    return np.concatenate([e * u.base.starts, [0.0, u.x_end],
+                           rng.uniform(0.0, u.x_end, 60)])
+
+
+@pytest.mark.parametrize("z", [0.5 + 1.0j, -2.0], ids=["complex", "real"])
+@pytest.mark.parametrize("theta", [-2e4, -500.0, -30.0, -1.0, 0.0, 5.0, 400.0])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2])
+def test_taylor_basis_square_well_closed_form(theta, eps, z):
+    # u = eps*sinh(k x/eps)/k and v = cosh(k x/eps), k^2 = eps^2*(lam - z)
+    lam = theta / eps ** 2
+    u, v = ode.solve_uv(potential.square(), lam, eps, z, tol=1e-12)
+    k = np.sqrt(complex(eps * eps * (lam - z)))
+    xs = _basis_points(u, np.random.default_rng(2))
+    a = k * xs / eps
+    want = {u: (eps * np.sinh(a) / k if k else xs, np.cosh(a)),
+            v: (np.cosh(a), k * np.sinh(a) / eps)}
+    for view, (val, der) in want.items():
+        got = view(xs)
+        assert got[0].dtype == (complex if np.imag(z) else float)
+        for g, w in zip(got, (val, der)):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+        end = view.endpoint
+        assert abs(end.value - val[-61]) <= 1e-12 * np.max(np.abs(val))
+        assert abs(end.derivative - der[-61]) <= 1e-12 * np.max(np.abs(der))
+        assert end.x == view.x_end == eps
+
+
+@pytest.mark.parametrize("z", [0.5 + 1.0j, -2.0], ids=["complex", "real"])
+def test_taylor_basis_matches_a_tight_march(z):
+    # no closed form on the two-piece V: the stacked DOP853 basis march at
+    # tol 1e-13 is the oracle, for every eps of a critical schedule
+    V, theta, eps = _two_piece(), -17.0, [1e-1, 1e-2, 1e-3]
+    steps, y_end = _uv_march(V, theta, z, eps, tol=1e-13)
+    bases = ode.solve_uv(V, [theta / e ** 2 + 2.0 / e for e in eps], eps, z,
+                         tol=1e-12)
+    xs = np.linspace(0.0, 1.0, 41)
+    for k, (e, views) in enumerate(zip(eps, bases)):
+        for j, view in enumerate(views):
+            march = ode.ScaledTrajectory(ode.Trajectory(steps, y_end, 4 * k + 2 * j),
+                                         e, view.factor, view.divisor)
+            for g, w in zip(view(e * xs), march(e * xs)):
+                assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("make_V", [potential.square, _two_piece,
+                                    lambda: potential.linear(0.7)],
+                         ids=["square", "two_piece", "linear"])
+def test_taylor_basis_keeps_the_wronskian(make_V):
+    # Liouville: W(u, v) = -1 on [0, eps*M], at every read and at the end
+    V, eps, rng = make_V(), 1e-2, np.random.default_rng(4)
+    for theta in (-2e4, -300.0, -17.0, -1.0, 0.0, 4.0):
+        u, v = ode.solve_uv(V, theta / eps ** 2, eps, 0.5 + 1.0j, tol=1e-12)
+        xs = _basis_points(u, rng)
+        (uv, ud), (vv, vd) = u(xs), v(xs)
+        assert np.max(np.abs(uv * vd - ud * vv + 1.0)) <= 1e-12
+        ue, ve = u.endpoint, v.endpoint
+        assert abs(ue.value * ve.derivative - ue.derivative * ve.value + 1.0) \
+            <= 1e-12
+
+
+def test_taylor_basis_does_not_depend_on_the_stack():
+    # each pair gets the basis it gets alone: a deep coupling stacked with
+    # shallow ones only gives them more, shorter exact steps
+    V, z = _two_piece(), 0.5 + 1.0j
+    thetas, eps = [-2e4, -17.0, 0.0, 3.0], [1e-1, 3e-2, 1e-2, 1e-3]
+    lams = [t / e ** 2 for t, e in zip(thetas, eps)]
+    stacked = ode.solve_uv(V, lams, eps, z)
+    rng = np.random.default_rng(6)
+    for lam, e, views in zip(lams, eps, stacked):
+        alone = ode.solve_uv(V, lam, e, z)
+        xs = rng.uniform(0.0, e, 40)
+        for got, want in zip(views, alone):
+            for g, w in zip(got(xs), want(xs)):
+                assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+            ge, we = got.endpoint, want.endpoint
+            assert abs(ge.value - we.value) <= 1e-13 * abs(we.value)
+
+
+def test_taylor_basis_overflow_names_its_piece():
+    V = potential.piecewise((0.0, 0.5, 1.0), [(0.0, 0, 0, 0), (1.0, 0, 0, 0)])
+    with pytest.raises(NonConvergence, match=r"\[0\.5, 1\.0\]"):
+        ode.solve_uv(V, [-1.0, 1e7], [1.0, 1.0], 0.5 + 1.0j)

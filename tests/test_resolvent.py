@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from deltalim import ode, potential, quadrature, resolvent, resonance
+from deltalim import airy, ode, potential, quadrature, resolvent, resonance
 from deltalim.errors import QuadratureFailure, SingularWronskian
 from deltalim.resonance import ScalingLaw
 
@@ -40,9 +40,12 @@ def test_exterior_coefficients_free_case():
 
 
 def test_kernel_marches_once(count_calls):
-    calls = count_calls(ode, "march")
+    # the basis is one Taylor transfer of one coupling; DOP853 is not called
+    bases = count_calls(ode, "_taylor_basis")
+    marches = count_calls(ode, "march")
     resolvent.kernel_scaled(potential.square(), -30.0, 0.2, 1j)
-    assert len(calls) == 1
+    assert [np.size(args[1]) for args in bases] == [1]
+    assert not marches
 
 
 def test_phi2_matches_decaying_exponential():
@@ -226,17 +229,35 @@ def test_convergence_study_monotone():
 
 
 def test_convergence_study_marches_the_basis_once(count_calls):
-    # the bases of all five eps are one march of four rows per eps; the
-    # non-resonant membership test shoots its bracket ends by a Taylor
-    # transfer, apart from it
+    # the bases of all five eps are one Taylor transfer of five couplings;
+    # the non-resonant membership test shoots its bracket ends by another
+    # Taylor transfer, so DOP853 is not called
+    bases = count_calls(ode, "_taylor_basis")
     marches = count_calls(ode, "march")
+    count_calls(resonance, "march", marches)
     f = lambda y: ((y >= 1.0) & (y <= 2.0)).astype(float)
     rows = resolvent.convergence_study(
         potential.square(), ScalingLaw(-3.0, 1.0), 1j, f,
         [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], np.linspace(0.1, 3.0, 10),
         f_breakpoints=(1.0, 2.0), y_max=2.5)
     assert [r.reference_kind for r in rows] == ["dirichlet"] * 5
-    assert [np.size(args[2]) for args in marches] == [20]
+    assert [np.size(args[1]) for args in bases] == [5]
+    assert not marches
+
+
+def test_robin_study_integrates_only_the_gate_shot(count_calls):
+    # on a Robin schedule the one DOP853 march is the certifying gate shot
+    # at the resonance; the bases of every eps are one Taylor transfer
+    bases = count_calls(ode, "_taylor_basis")
+    marches = count_calls(ode, "march")
+    count_calls(resonance, "march", marches)
+    f = lambda y: ((y >= 1.0) & (y <= 2.0)).astype(float)
+    rows = resolvent.convergence_study(
+        potential.square(), ScalingLaw(THETA0, 2.0), 1j, f, [1e-1, 1e-2, 1e-3],
+        np.linspace(0.1, 3.0, 10), f_breakpoints=(1.0, 2.0), y_max=2.5)
+    assert [r.reference_kind for r in rows] == ["robin"] * 3
+    assert [np.size(args[1]) for args in bases] == [3]
+    assert len(marches) == 1
 
 
 def test_estimate_alpha_marches_once(count_calls):
@@ -378,7 +399,8 @@ def test_panels_resolve_a_fast_decay(kind):
     f = lambda y: np.exp(-y)
     xs = np.array([0.003, 0.5, 1.0, 2.0])
     got = resolvent.apply_resolvent(kern, f, xs, y_max=2.5)
-    fine = resolvent.apply_resolvent(kern, f, xs, y_max=2.5, max_panel=5e-4)
+    fine = resolvent.apply_resolvent(kern, f, xs, y_max=2.5, max_panel=5e-4,
+                                     panel_budget=200_000)
     assert np.max(np.abs(got - fine) / np.abs(fine)) <= 1e-10
     # for |z| large, (R_z f)(x) is f(x)/(-z) up to O(|z|^-2)
     assert abs(got[2]) == pytest.approx(np.exp(-1.0) / abs(z), rel=1e-5)
@@ -409,7 +431,7 @@ def test_apply_resolvent_reads_basis_once_per_point_set(monkeypatch,
         raise AssertionError("kernel evaluated pointwise")
 
     reads, f_calls = [], []
-    read = ode.Trajectory.__call__
+    read = ode._TaylorTrajectory.__call__
 
     def counting(self, x):
         reads.append(np.size(x))
@@ -420,7 +442,7 @@ def test_apply_resolvent_reads_basis_once_per_point_set(monkeypatch,
         return np.exp(-y)
 
     monkeypatch.setattr(resolvent.KernelEval, "__call__", refuse)
-    monkeypatch.setattr(ode.Trajectory, "__call__", counting)
+    monkeypatch.setattr(ode._TaylorTrajectory, "__call__", counting)
     counts = []
     for n_x in (10, 200):
         reads.clear()
@@ -448,3 +470,32 @@ def test_kinks_are_scaled_inner_breakpoints():
     scale = np.max(np.abs(fine))
     assert np.max(np.abs(got - fine)) <= 1e-12 * scale
     assert np.max(np.abs(coarse - fine)) > 1e-10 * scale
+
+
+@pytest.fixture(scope="module")
+def deep_linear_root():
+    return min(airy.find_linear_resonances(0.7, (-2e4, -1e4)))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-1])
+@pytest.mark.parametrize("kind", ["linear", "square"])
+def test_interior_panels_follow_the_basis_steps(kind, eps, deep_linear_root):
+    # at the deepest root in (-2e4, -1e4) the interior basis has about 47
+    # Taylor steps of half a local wavelength each; with x only outside the
+    # support, one 20-node panel across [0, x_m] was 3e-4 to 1e-2 off
+    V, theta = ((potential.linear(0.7), deep_linear_root) if kind == "linear"
+                else (potential.square(), -(44.5 * np.pi) ** 2))
+    kern = resolvent.kernel_scaled(V, theta / eps ** 2 + 1.0 / eps, eps,
+                                   0.5 + 1j)
+    assert np.allclose(kern.kinks, eps * kern.u.base.starts[1:], rtol=0.0,
+                       atol=0.0)
+    assert len(kern.kinks) > 40
+    f, xs = (lambda y: np.exp(-y)), np.array([0.5, 1.0, 2.0])
+    got = resolvent.apply_resolvent(kern, f, xs)
+    blind = dataclasses.replace(kern, kinks=())
+    fine = resolvent.apply_resolvent(blind, f, xs,
+                                     np.linspace(0.0, kern.x_m, 801))
+    scale = np.max(np.abs(fine))
+    assert np.max(np.abs(got - fine)) <= 1e-12 * scale
+    one_panel = resolvent.apply_resolvent(blind, f, xs)
+    assert np.max(np.abs(one_panel - fine)) > 1e-4 * scale
