@@ -1,26 +1,33 @@
 """Self-contained real-argument Airy functions and the linear-potential
 closed forms built on them.
 
-Evaluation strategy: Maclaurin series about 0 for |x| <= X_SWITCH, summed in
-compensated double-double arithmetic so the cancellation of the large series
-terms does not destroy the small function values; full asymptotic expansions
-(well beyond leading order) outside, each summed to its smallest term.  The
-positive axis uses the exponential series of DLMF 9.7.5-9.7.8; the negative
-axis uses the oscillatory Poincare series of DLMF 9.7.9-9.7.12, i.e.
-cos/sin(zeta - pi/4) times the even and odd u_k (v_k for the derivatives)
-sums P and Q.
+Evaluation strategy: for |x| <= X_SWITCH, a short Taylor step of
+y'' = x*y from the nearest of the anchors a = j/8, j = -72..72, whose
+(Ai, Ai', Bi, Bi') are summed once, on first use, by the Maclaurin series
+about 0 in compensated double-double arithmetic, so the cancellation of the
+large series terms does not destroy the small function values.  The step
+|h| <= 1/16 is summed to order 16 in plain double arithmetic, by Horner's
+rule on coefficients tabulated with the anchors (Gil, Segura & Temme,
+Numerical Methods for Special Functions, ch. 9; DLMF 3.7).  Outside,
+full asymptotic expansions (well beyond leading order) are each summed to
+their smallest term.  The positive axis uses the exponential series of
+DLMF 9.7.5-9.7.8; the negative axis uses the oscillatory Poincare series
+of DLMF 9.7.9-9.7.12, i.e. cos/sin(zeta - pi/4) times the even and odd
+u_k (v_k for the derivatives) sums P and Q.
 
 The split point is 9.0: the oscillatory-side asymptotic error floor behaves
 like exp(-4/3*|x|^(3/2)), which only drops well below 1e-13 for |x| >= 9,
 while the double-double series stays near machine accuracy up to that point.
 
-The series also sums a whole array of arguments at once (airy_table, and the
-residual grid of find_linear_resonances): every element sees the same
-operations as a float argument and stops at its own term, so each value is
-bit-identical to airy_quad at that argument.
+airy_table steps a whole array of arguments at once (and so does the
+residual grid of find_linear_resonances): every element sees the same IEEE
+operations, in the same order, as a float argument does in airy_quad, so
+each value is bit-identical to airy_quad at that argument.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,29 +121,25 @@ def _dd_neg(x):
 
 
 # ---------------------------------------------------------------------------
-# Maclaurin region
+# series region: Taylor steps from anchors summed by the Maclaurin series
 # ---------------------------------------------------------------------------
 
-def _series(x):
-    """The four auxiliary Maclaurin sums (f, g, f', g') for y'' = x*y,
-    summed to stagnation in double-double arithmetic.
+_STEP = 0.125        # anchor spacing, so a step is |h| <= 1/16
+_LAST = 72           # anchors a = j*_STEP, |j| <= _LAST, cover |x| <= X_SWITCH
+_ORDER = 16          # the dropped terms fall like (3|h|)^17/17! < 1e-26
 
-    x is a float or a 1-d float64 array.  The arithmetic is elementwise, so
-    an array element sees exactly the operations a float would: each one
-    leaves the sum at the term where its own stopping test holds, and the
-    remaining elements go on as a smaller array."""
+
+def _series(x):
+    """The four auxiliary Maclaurin sums (f, g, f', g') for y'' = x*y at each
+    element of a 1-d float64 array, summed in double-double arithmetic until
+    every element has stagnated."""
     x2 = _two_prod(x, x)
     x3 = _dd_mul_d(x2, x)
 
-    f = term_f = (1.0, 0.0)
-    g = term_g = (x, 0.0)
+    f = term_f = (np.ones_like(x), np.zeros_like(x))
+    g = term_g = (x, np.zeros_like(x))
     fp = term_fp = _dd_div_d(x2, 2.0)
-    gp = term_gp = (1.0, 0.0)
-
-    scalar = np.ndim(x) == 0
-    if not scalar:
-        active = np.arange(np.size(x))
-        sums = np.empty((4, 2, active.size))    # (f, g, f', g') x (hi, lo)
+    gp = term_gp = (np.ones_like(x), np.zeros_like(x))
 
     for k in range(1, 400):
         tk = 3.0 * k
@@ -150,30 +153,15 @@ def _series(x):
             term_fp = _dd_div_d(_dd_mul_d(_dd_mul(term_fp, x3), float(k)),
                                 (k - 1.0) * (tk - 1.0) * tk)
             fp = _dd_add(fp, term_fp)
-        scale = abs(f[0]) + abs(g[0]) + 1.0
-        terms = (abs(term_f[0]), abs(term_g[0]), abs(term_fp[0]), abs(term_gp[0]))
-        if scalar:
-            if max(terms) < 1e-35 * scale:
-                break
-            continue
-        done = np.maximum.reduce(terms) < 1e-35 * scale
-        if done.any():
-            sums[:, :, active[done]] = np.array((f, g, fp, gp))[:, :, done]
-            keep = ~done
-            active = active[keep]
-            x3, f, g, fp, gp, term_f, term_g, term_fp, term_gp = (
-                (hi[keep], lo[keep]) for hi, lo in
-                (x3, f, g, fp, gp, term_f, term_g, term_fp, term_gp))
-            if not active.size:
-                break
-    if scalar:
-        return f, g, fp, gp
-    sums[:, :, active] = np.array((f, g, fp, gp))
-    return tuple((hi, lo) for hi, lo in sums)
+        terms = np.maximum.reduce([abs(t[0]) for t in
+                                   (term_f, term_g, term_fp, term_gp)])
+        if np.all(terms < 1e-35 * (abs(f[0]) + abs(g[0]) + 1.0)):
+            break
+    return f, g, fp, gp
 
 
 def _maclaurin(x):
-    """(Ai, Ai', Bi, Bi') at a float, or at each element of a 1-d array."""
+    """(Ai, Ai', Bi, Bi') at each element of a 1-d array."""
     f, g, fp, gp = _series(x)
     af = _dd_mul(_AI0, f)
     bg = _dd_mul(_NEG_DAI0, g)
@@ -184,6 +172,54 @@ def _maclaurin(x):
     bi = _dd_mul(_SQRT3, _dd_add(af, bg))
     dbi = _dd_mul(_SQRT3, _dd_add(afp, bgp))
     return (ai[0] + ai[1], dai[0] + dai[1], bi[0] + bi[1], dbi[0] + dbi[1])
+
+
+@functools.cache
+def _anchors():
+    """Horner coefficients of the Taylor step from each anchor, built on
+    first use from one _series call.
+
+    About a, y(a + h) = sum c_k h^k with c_0 = y(a), c_1 = y'(a) and
+    c_{k+2} = (a*c_k + c_{k-1}) / ((k+1)(k+2)), and y'(a + h) =
+    sum (k+1) c_{k+1} h^k.  Returns the (anchor, degree, column) array,
+    highest degree first, with the columns Ai, Ai', Bi, Bi' (the derivative
+    columns lead with a zero), and the same numbers as nested lists."""
+    a = np.arange(-_LAST, _LAST + 1) * _STEP
+    ai, dai, bi, dbi = _maclaurin(a)
+    c = np.zeros((_ORDER + 1, 2, a.size))       # c_k of Ai and of Bi
+    c[0], c[1] = (ai, bi), (dai, dbi)
+    for k in range(_ORDER - 1):
+        c[k + 2] = (a * c[k] + (c[k - 1] if k else 0.0)) / ((k + 1) * (k + 2))
+    d = np.zeros_like(c)
+    d[:-1] = np.arange(1, _ORDER + 1)[:, None, None] * c[1:]
+    coef = np.stack([c[:, 0], d[:, 0], c[:, 1], d[:, 1]], axis=-1)
+    coef = np.ascontiguousarray(coef[::-1].transpose(1, 0, 2))
+    coef.flags.writeable = False        # one cached table serves every call
+    return coef, coef.tolist()
+
+
+def _taylor(x: float):
+    """(Ai, Ai', Bi, Bi') at a float |x| <= X_SWITCH, stepped from the
+    nearest anchor in Python floats."""
+    j = math.floor(x / _STEP + 0.5)
+    h = x - j * _STEP
+    rows = _anchors()[1][j + _LAST]
+    ai, dai, bi, dbi = rows[0]
+    for c0, c1, c2, c3 in rows[1:]:
+        ai, dai, bi, dbi = ai * h + c0, dai * h + c1, bi * h + c2, dbi * h + c3
+    return ai, dai, bi, dbi
+
+
+def _taylor_table(xs: np.ndarray) -> np.ndarray:
+    """Rows (Ai, Ai', Bi, Bi') at a 1-d array with |x| <= X_SWITCH: the
+    operations of _taylor, elementwise and in the same order."""
+    j = np.floor(xs / _STEP + 0.5)
+    h = (xs - j * _STEP)[:, None]
+    rows = _anchors()[0][j.astype(np.intp) + _LAST]
+    out = rows[:, 0]
+    for m in range(1, _ORDER + 1):
+        out = out * h + rows[:, m]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +320,14 @@ def airy_quad(x: float) -> AiryQuad:
     x = float(x)
     if not abs(x) <= X_MAX:              # NaN fails the comparison
         raise _range_error(x)
-    vals = _maclaurin(x) if abs(x) <= X_SWITCH else _asymptotic(x)
+    vals = _taylor(x) if abs(x) <= X_SWITCH else _asymptotic(x)
     return AiryQuad(x, *vals)
 
 
 def airy_table(xs) -> np.ndarray:
     """Columns (Ai, Ai', Bi, Bi') for an array of arguments.
 
-    Every argument with |x| <= 9 is summed in one array pass of the series;
+    Every argument with |x| <= 9 takes its Taylor step in one array pass;
     the others take the asymptotic expansions one at a time.  Each row is
     bit-identical to airy_quad at that argument."""
     xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -301,7 +337,7 @@ def airy_table(xs) -> np.ndarray:
     out = np.empty((xs.size, 4))
     near = np.abs(xs) <= X_SWITCH
     if near.any():
-        out[near] = np.column_stack(_maclaurin(xs[near]))
+        out[near] = _taylor_table(xs[near])
     for i in np.flatnonzero(~near):
         out[i] = _asymptotic(float(xs[i]))
     return out
@@ -316,11 +352,12 @@ def sigma_parameter(xi: float, theta: float) -> float:
     return float(np.cbrt(theta / (xi * xi)))
 
 
-def _use_square(xi: float, theta: float) -> bool:
+def _use_square(xi: float, theta):
     """Route to the square-well forms when xi is tiny, either by the guard
     band or because sigma = cbrt(theta/xi^2) would leave the Airy range.
-    The substitution error is O(xi), negligible whenever it triggers."""
-    return abs(xi) < XI_SQUARE_GUARD or abs(theta) > X_MAX ** 3 * xi * xi
+    The substitution error is O(xi), negligible whenever it triggers.
+    theta is a float or an array, and so is the answer."""
+    return (abs(xi) < XI_SQUARE_GUARD) | (np.abs(theta) > X_MAX ** 3 * xi * xi)
 
 
 def _square_closed(theta: float, x: float):
@@ -411,10 +448,10 @@ def upsilon_linear_residual(xi: float, theta: float) -> float:
 
 def _residual_grid(xi: float, thetas: np.ndarray) -> np.ndarray:
     """upsilon_linear_residual at each coupling of a 1-d array, bit for bit,
-    with the Airy pairs of all ungauged couplings read by two airy_table
-    calls; a gauged one (see _linear_pair) takes the scalar path."""
+    with the Airy pairs of all ungauged couplings read by one airy_table
+    call; a gauged one (see _linear_pair) takes the scalar path."""
     out = np.empty(thetas.size)
-    square = np.array([_use_square(xi, t) for t in thetas], dtype=bool)
+    square = _use_square(xi, thetas)
     for i in np.flatnonzero(square):
         out[i] = _square_closed(thetas[i], 1.0)[1]
     s = np.full(thetas.size, np.nan)
@@ -423,7 +460,9 @@ def _residual_grid(xi: float, thetas: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(gauged):
         out[i] = upsilon_linear_residual(xi, float(thetas[i]))
     table = ~square & ~gauged
-    at_s, at_w = airy_table(s[table]), airy_table(s[table] * (1.0 - xi))
+    n = np.count_nonzero(table)
+    pairs = airy_table(np.concatenate([s[table], s[table] * (1.0 - xi)]))
+    at_s, at_w = pairs[:n], pairs[n:]
     out[table] = at_s[:, 0] * at_w[:, 3] - at_s[:, 2] * at_w[:, 1]
     return out
 
@@ -434,7 +473,11 @@ def _check_resonant(xi: float, theta: float, residual_tol: float, pair):
     else:
         _, at_s, at_w = pair
         res = at_s.ai * at_w.dbi - at_s.bi * at_w.dai
-        scale = max(abs(at_s.ai * at_w.dbi), abs(at_s.bi * at_w.dai), 1e-300)
+        # with the moduli M(s), N(w) of DLMF 9.8, res/(M N) is the sine of
+        # a phase gap; the two products alone can both be small (s a zero
+        # of Bi and w one of Bi', as at xi = 0.2986 on the first root)
+        scale = max(math.hypot(at_s.ai, at_s.bi)
+                    * math.hypot(at_w.dai, at_w.dbi), 1e-300)
     if abs(res) > residual_tol * scale:
         raise NotAResonance(
             f"residual {res:.3e} above tolerance at (xi={xi}, theta={theta})")
@@ -475,27 +518,34 @@ def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
     """Scan the Airy residual for sign changes and refine each bracket by
     Brent's method to width root_tol*(1+|theta|).
 
-    Returns the resonant couplings in theta_range, largest (closest to 0)
-    first when the range is negative.
-    """
+    Returns the resonant couplings in theta_range ordered by |theta| (largest
+    first when the range is negative).  With ``max_hits``, brackets are
+    refined nearest |theta| first, and only until no bracket left can hold
+    a root nearer than the max_hits-th; the result is the first max_hits
+    roots of the unbounded scan."""
     lo, hi = map(float, theta_range)
     if not lo < hi:
         raise ValueError("empty theta range")
+    if max_hits is not None and max_hits < 0:
+        raise ValueError(f"max_hits must not be negative, got {max_hits}")
     grid = np.linspace(lo, hi, grid_cells + 1)
     grid = grid[grid != 0.0]
     vals = _residual_grid(xi, grid)
-    known = dict(zip(grid, vals))     # brentq starts from the scanned ends
 
-    def residual(t):
-        return known[t] if t in known else upsilon_linear_residual(xi, t)
+    def nearest(i):
+        a, b = grid[i], grid[i + 1]
+        return 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
 
-    roots = []
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0.0:
-            roots.append(brentq(residual, a, b, xtol=root_tol, rtol=root_tol))
-    if vals.size and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    roots.sort(key=abs)
-    return roots[:max_hits] if max_hits is not None else roots
+    roots = sorted(grid[vals == 0.0].tolist(), key=abs)
+    for i in sorted(np.flatnonzero(vals[:-1] * vals[1:] < 0.0), key=nearest):
+        if max_hits is not None and len(roots) >= max_hits and (
+                max_hits == 0 or nearest(i) >= abs(roots[max_hits - 1])):
+            break
+        # Brent's method starts from the scanned ends
+        a, b = grid[i], grid[i + 1]
+        ends = {a: vals[i], b: vals[i + 1]}
+        roots.append(brentq(
+            lambda t: ends[t] if t in ends else upsilon_linear_residual(xi, t),
+            a, b, xtol=root_tol, rtol=root_tol))
+        roots.sort(key=abs)
+    return roots[:max_hits]

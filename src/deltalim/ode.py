@@ -200,8 +200,15 @@ def _local_coeffs(c, x0):
 
 
 def _taylor_order(tol: float) -> int:
-    """The smallest order p with rho^p/p! <= 1e-3*tol: the size, relative to
-    the state, of the first term a step drops."""
+    """The smallest order p with rho^p/p! <= 1e-3*tol.
+
+    That is the first term a step drops, relative to the state, only where
+    the terms fall like rho^k/k!, as on a constant piece.  The d1-d3 terms
+    of a linear or cubic piece crossed in one or two steps make them fall
+    like (k!)^(-2/3), as Airy functions do, and the first dropped term is
+    then up to about 20 times larger (b_26 = 1.2e-13 against
+    3^26/26! = 6.3e-15 on linear(0.7) at theta = 4, tol = 1e-10); the
+    factor 1e-3 keeps it inside tol."""
     p, term = 1, _TAYLOR_RHO
     while term > 1e-3 * tol:
         p += 1
@@ -216,9 +223,12 @@ def _taylor_steps(c, lo: float, hi: float, big: float,
     with h*sqrt(big*B(h) + shift) <= rho, h = (hi-lo)/n.
 
     B(h) = sum_j |e_j| (L/2 + h)^j, with e the cubic about the midpoint,
-    bounds sum_j |d_j| h^j at every step start, so the terms b_k of every
-    step fall like rho^k/k!.  B(0) is max|V| for a constant or linear piece,
-    and then the count is the plain ceil(sqrt(big*max|V| + shift)*L/rho)."""
+    bounds sum_j |d_j| h^j at every step start, so the local wavenumber
+    times h is at most rho.  The terms b_k fall like rho^k/k! on a constant
+    piece; with d1-d3, on a piece crossed in one or two steps, they fall
+    like (k!)^(-2/3) and stay larger (see ``_taylor_order``).  B(0) is
+    max|V| for a constant or linear piece, and then the count is the plain
+    ceil(sqrt(big*max|V| + shift)*L/rho)."""
     half = 0.5 * (hi - lo)
     e = np.abs(_local_coeffs(c, np.array(lo + half)))
 

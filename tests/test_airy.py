@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
@@ -5,6 +10,8 @@ from scipy.optimize import brentq
 
 from deltalim import airy, ode, potential, quadrature, resonance
 from deltalim.errors import AiryRangeError, NotAResonance
+
+_SRC = str(Path(airy.__file__).resolve().parents[1])
 
 
 def _quad_array(xs):
@@ -133,6 +140,26 @@ def test_not_a_resonance_guard():
         airy.alpha_linear(0.5, -3.0, 1.0)
 
 
+def test_resonance_gate_where_both_products_are_small():
+    # s = -3.2711 is a zero of Bi and w = s(1 - xi) = -2.2944 one of Bi', so
+    # both products of the residual are 3.3e-7 there; a root 4.8e-13 from
+    # the exact one (inside Brent's tolerance) was rejected as no resonance
+    xi = 0.29857110347750027
+    theta, = airy.find_linear_resonances(
+        xi, (-11.216053567734264, -1.7736757363175604), grid_cells=1000)
+    assert theta == -3.120140117221471
+    s = airy.sigma_parameter(xi, theta)
+    ai_s, _, bi_s, _ = scipy.special.airy(s)
+    _, dai_w, _, dbi_w = scipy.special.airy(s * (1.0 - xi))
+    assert abs(bi_s) < 1e-6 and abs(dbi_w) < 1e-6
+    want = -(1.0 / (3.0 * xi * s)) * ((dai_w / ai_s) ** 2
+                                      + s * (1.0 - xi) ** 2)
+    assert airy.alpha_linear(xi, theta, 1.0) == pytest.approx(want, rel=1e-8)
+    assert airy.linear_weighted_square_integral(xi, theta) > 0.0
+    with pytest.raises(NotAResonance):
+        airy.alpha_linear(xi, theta + 1e-3, 1.0)
+
+
 def test_square_guard_continuity():
     # tiny xi routes to the trig forms and stays continuous across the guard
     theta = -5.0
@@ -172,19 +199,38 @@ def test_closed_forms_read_one_airy_pair(count_calls, closed_form):
 
 
 def test_root_refinement_reuses_scanned_ends(count_calls):
-    # the 201 scanned couplings are read as two airy_table calls of 201
-    # arguments; Brent's method starts from the scanned bracket ends and
-    # reads only the Airy pairs of its interior iterates, one at a time
+    # the 201 scanned couplings are read as one airy_table call of their 402
+    # arguments s and s(1 - xi); Brent's method starts from the scanned
+    # bracket ends and reads only the Airy pairs of its interior iterates,
+    # one at a time
     tables = count_calls(airy, "airy_table")
     quads = count_calls(airy, "airy_quad")
     roots = airy.find_linear_resonances(0.7, (-80.0, -0.5), grid_cells=200)
     assert len(roots) == 2
-    assert [np.shape(xs) for (xs,) in tables] == [(201,), (201,)]
+    assert [np.shape(xs) for (xs,) in tables] == [(402,)]
     scanned = set(np.concatenate([xs for (xs,) in tables]))
     brent = [x for (x,) in quads]
     assert len(brent) == 18
     assert len(set(brent)) == len(brent)
     assert scanned.isdisjoint(brent)
+
+
+# criterion 5's inputs
+@pytest.mark.parametrize("xi", [0.3, 0.7, 1.0])
+def test_max_hits_refines_only_the_nearest_brackets(count_calls, xi):
+    calls = count_calls(airy, "brentq")
+    every = airy.find_linear_resonances(xi, (-80.0, -0.5))
+    assert len(calls) == len(every) >= 2
+    for k in (0, 1, 2):
+        del calls[:]
+        assert airy.find_linear_resonances(
+            xi, (-80.0, -0.5), max_hits=k) == every[:k]
+        assert len(calls) == k
+
+
+def test_max_hits_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="max_hits"):
+        airy.find_linear_resonances(0.7, (-80.0, -0.5), max_hits=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +396,44 @@ def test_closed_form_overflow_names_sigma(xi, theta):
                         lambda: airy._residual_grid(xi, np.array([theta]))):
         with pytest.raises(AiryRangeError, match=f"s = {s}"):
             closed_form()
+
+
+# ---------------------------------------------------------------------------
+# the series region: Taylor steps from the anchors a = j/8, |j| <= 72
+
+
+def test_anchor_steps_match_the_double_double_series():
+    xs = np.linspace(-9.0, 9.0, 8001)
+    ref = np.column_stack(airy._maclaurin(xs))
+    got = airy.airy_table(xs)
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+    pos = xs > 0.0          # Ai and Ai' decay there: relative accuracy
+    assert np.all(np.abs(got[pos, :2] - ref[pos, :2])
+                  <= 1e-15 * np.abs(ref[pos, :2]))
+
+
+def test_airy_table_matches_airy_quad_at_anchors_and_ties():
+    anchors = np.arange(-72, 73) / 8.0
+    ties = (np.arange(-72, 72) + 0.5) / 8.0
+    xs = np.concatenate([anchors, ties, [9.0, -9.0, 0.0, -0.0]])
+    _assert_identical(airy.airy_table(xs), _table_by_quad(xs))
+
+
+def test_anchor_table_is_built_once(count_calls):
+    airy._anchors.cache_clear()
+    calls = count_calls(airy, "_series")
+    for x in np.linspace(-9.0, 9.0, 7):
+        airy.airy_quad(x)
+        airy.airy_table(np.linspace(-x, 0.5 * x, 5))
+    airy.find_linear_resonances(0.7, (-30.0, -0.5), grid_cells=50)
+    assert len(calls) == 1
+    assert np.shape(calls[0][0]) == (145,)
+
+
+def test_anchor_table_is_not_built_at_import():
+    code = ("import deltalim, deltalim.airy as a; "
+            "print(a._anchors.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=_SRC))
+    assert out.stdout.strip() == "0"

@@ -194,3 +194,26 @@ def test_scan_xi_zero_solves_the_ode(tmp_path, count_calls):
         assert row[2] == pytest.approx(exact, rel=1e-9)
         assert row[3] <= 1e-7
         assert row[4] == 0.5
+
+
+def test_scan_xi_max_one_is_the_nearest_root(tmp_path, monkeypatch,
+                                              count_calls):
+    from deltalim import airy
+    inner = airy.find_linear_resonances
+    every = inner(0.7, (-60.0, -0.1))
+    assert len(every) >= 2
+    found = []
+
+    def recording(*args, **kwargs):
+        found.append(inner(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(airy, "find_linear_resonances", recording)
+    refinements = count_calls(airy, "brentq")
+    out = tmp_path / "scan.csv"
+    run_ok(["scan-xi", "--xi", "0.7", "--theta-range", "-60:-0.1",
+            "--max", "1", "-o", str(out)])
+    assert found == [every[:1]]
+    assert len(refinements) == 1
+    _, rows = cli.read_table(out)
+    assert [r[1] for r in rows] == pytest.approx(every[:1], rel=1e-14)
