@@ -34,6 +34,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AiryRangeError, NotAResonance
+from .resonance import refine_nearest_first
 
 __all__ = [
     "AiryQuad",
@@ -471,16 +472,39 @@ def _check_resonant(xi: float, theta: float, residual_tol: float, pair):
     if pair is None:
         res, scale = _square_closed(theta, 1.0)[1], 1.0
     else:
-        _, at_s, at_w = pair
+        s, at_s, at_w = pair
         res = at_s.ai * at_w.dbi - at_s.bi * at_w.dai
-        # with the moduli M(s), N(w) of DLMF 9.8, res/(M N) is the sine of
-        # a phase gap; the two products alone can both be small (s a zero
-        # of Bi and w one of Bi', as at xi = 0.2986 on the first root)
-        scale = max(math.hypot(at_s.ai, at_s.bi)
-                    * math.hypot(at_w.dai, at_w.dbi), 1e-300)
+        w = s * (1.0 - xi)
+        if min(s, w) <= 0.0 and max(s, w) <= GAUGE_X:
+            # one point oscillates, so (Ai, Bi)(s) or (Ai', Bi')(w) turns
+            # with theta, and res / (hypot(Ai, Bi)(s) hypot(Ai', Bi')(w)) is
+            # the sine of the angle between them (on the negative axis the
+            # two moduli are those of DLMF 9.8).  The two products alone
+            # can both be small at a root: where s is a zero of Bi and w one
+            # of Bi' (xi = 0.2986 on the first root), or where w > 0 makes
+            # Ai'(w) exponentially small and s sits near a zero of Ai.
+            scale = (math.hypot(at_s.ai, at_s.bi)
+                     * math.hypot(at_w.dai, at_w.dbi))
+        else:
+            # with both points positive, Bi outgrows Ai at each and the
+            # angle is small everywhere; the gauge of _linear_pair also
+            # changes the moduli.  The products set the scale.
+            scale = max(abs(at_s.ai * at_w.dbi), abs(at_s.bi * at_w.dai))
+        scale = max(scale, 1e-300)
     if abs(res) > residual_tol * scale:
         raise NotAResonance(
             f"residual {res:.3e} above tolerance at (xi={xi}, theta={theta})")
+
+
+def _slope_ratio(at_s, at_w) -> float:
+    """Ai'(w)/Ai(s), which a resonance makes equal to Bi'(w)/Bi(s), read as
+    the mean of the two weighted by Ai(s)^2 and Bi(s)^2.  Off the exact root
+    (within Brent's tolerance) the two differ, and Ai'(w)/Ai(s) alone moves
+    like 1/Ai(s) with theta, so where s nears a zero of Ai (with w near one
+    of Ai') it loses digits that the mean, moving like 1/hypot(Ai, Bi)(s),
+    keeps."""
+    m = math.hypot(at_s.ai, at_s.bi)
+    return ((at_s.ai / m) * at_w.dai + (at_s.bi / m) * at_w.dbi) / m
 
 
 def alpha_linear(xi: float, theta: float, omega: float,
@@ -488,15 +512,16 @@ def alpha_linear(xi: float, theta: float, omega: float,
     """Robin parameter for V_xi at a resonant coupling theta.
 
     alpha = -(omega / (3*xi*s)) * [(Ai'(s(1-xi))/Ai(s))^2 + s*(1-xi)^2],
-    s = cbrt(theta/xi^2).  (Sign conventions pinned by the quadrature route
-    through the general Robin-parameter formula.)
+    s = cbrt(theta/xi^2), with the ratio read by _slope_ratio.  (Sign
+    conventions pinned by the quadrature route through the general
+    Robin-parameter formula.)
     """
     pair = _linear_pair(xi, theta)
     _check_resonant(xi, theta, residual_tol, pair)
     if pair is None:
         return 0.5 * omega
     s, at_s, at_w = pair
-    return -(omega / (3.0 * xi * s)) * ((at_w.dai / at_s.ai) ** 2
+    return -(omega / (3.0 * xi * s)) * (_slope_ratio(at_s, at_w) ** 2
                                         + s * (1.0 - xi) ** 2)
 
 
@@ -510,7 +535,7 @@ def linear_weighted_square_integral(xi: float, theta: float,
         return -1.0 / (2.0 * theta)   # square well: int sin^2(t x)/t^2 = 1/(2 t^2)
     s, at_s, at_w = pair
     return -(1.0 / (3.0 * xi * theta)) * (
-        1.0 + s * (1.0 - xi) ** 2 * (at_s.ai / at_w.dai) ** 2)
+        1.0 + s * (1.0 - xi) ** 2 / _slope_ratio(at_s, at_w) ** 2)
 
 
 def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
@@ -532,20 +557,13 @@ def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
     grid = grid[grid != 0.0]
     vals = _residual_grid(xi, grid)
 
-    def nearest(i):
-        a, b = grid[i], grid[i + 1]
-        return 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
-
-    roots = sorted(grid[vals == 0.0].tolist(), key=abs)
-    for i in sorted(np.flatnonzero(vals[:-1] * vals[1:] < 0.0), key=nearest):
-        if max_hits is not None and len(roots) >= max_hits and (
-                max_hits == 0 or nearest(i) >= abs(roots[max_hits - 1])):
-            break
+    def refine(i):
         # Brent's method starts from the scanned ends
         a, b = grid[i], grid[i + 1]
         ends = {a: vals[i], b: vals[i + 1]}
-        roots.append(brentq(
+        return [brentq(
             lambda t: ends[t] if t in ends else upsilon_linear_residual(xi, t),
-            a, b, xtol=root_tol, rtol=root_tol))
-        roots.sort(key=abs)
-    return roots[:max_hits]
+            a, b, xtol=root_tol, rtol=root_tol)]
+
+    return refine_nearest_first(grid, vals, refine,
+                                grid[vals == 0.0].tolist(), max_hits)

@@ -198,21 +198,34 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
     grid = np.linspace(lo, hi, grid_cells + 1)
     vals = taylor_endpoints(V, grid, max(tol, 1e-9))[1]
 
+    def certify(i):
+        a, b = grid[i], grid[i + 1]
+        return _certify(V, a, b, root_tol, tol, {a: vals[i], b: vals[i + 1]})
+
+    return refine_nearest_first(grid, vals, certify, [], max_hits,
+                                key=lambda h: abs(h.theta))
+
+
+def refine_nearest_first(grid, vals, refine, found, max_hits, key=abs):
+    """Roots from the sign-change cells of vals on grid, ordered by key
+    (|theta|).  refine(i) returns the roots of cell (grid[i], grid[i+1]);
+    cells are refined nearest |theta| first and added to ``found`` (roots
+    known already).  With ``max_hits``, refinement stops once no cell left
+    can hold a root nearer than the max_hits-th, and the first max_hits
+    roots are returned: those of refining every cell."""
+
     def nearest(i):
         a, b = grid[i], grid[i + 1]
         return 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
 
-    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    hits = []
-    for i in sorted(cells, key=nearest):
-        if max_hits is not None and len(hits) >= max_hits and (
-                not hits or nearest(i) >= abs(hits[max_hits - 1].theta)):
+    found = sorted(found, key=key)
+    for i in sorted(np.flatnonzero(vals[:-1] * vals[1:] < 0.0), key=nearest):
+        if max_hits is not None and len(found) >= max_hits and (
+                max_hits == 0 or nearest(i) >= key(found[max_hits - 1])):
             break
-        a, b = grid[i], grid[i + 1]
-        hits.extend(_certify(V, a, b, root_tol, tol,
-                             {a: vals[i], b: vals[i + 1]}))
-        hits.sort(key=lambda h: abs(h.theta))
-    return hits[:max_hits]
+        found.extend(refine(i))
+        found.sort(key=key)
+    return found[:max_hits]
 
 
 def robin_alpha(V: Potential, hit: ResonanceHit, omega: float) -> float:

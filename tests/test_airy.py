@@ -160,6 +160,87 @@ def test_resonance_gate_where_both_products_are_small():
         airy.alpha_linear(xi, theta + 1e-3, 1.0)
 
 
+@pytest.mark.parametrize("xi, theta", [
+    (0.1, 5.0),      # s = 7.94, w = 7.14: Bi dominates both moduli
+    (1.1, -3.0),     # s < 0 < w
+    (1.1, 3.0),      # w < 0 < s
+])
+def test_resonance_gate_off_the_oscillatory_quadrant(xi, theta):
+    # a clear non-resonance where s or w is positive still raises
+    s = airy.sigma_parameter(xi, theta)
+    ai_s, _, bi_s, _ = scipy.special.airy(s)
+    _, dai_w, _, dbi_w = scipy.special.airy(s * (1.0 - xi))
+    res = ai_s * dbi_w - bi_s * dai_w
+    assert abs(res) > 1e-3 * max(abs(ai_s * dbi_w), abs(bi_s * dai_w))
+    with pytest.raises(NotAResonance):
+        airy.alpha_linear(xi, theta, 1.0)
+    with pytest.raises(NotAResonance):
+        airy.linear_weighted_square_integral(xi, theta)
+
+
+def test_closed_forms_where_ai_nearly_vanishes():
+    # s = -6.787 is near a zero of Ai and w = -3.248 near one of Ai'; the
+    # root is found 2e-11 from the exact one, inside Brent's tolerance, and
+    # over that gap Ai'(w)/Ai(s) alone moves alpha by 1.3e-8 relative
+    xi = 0.5214000439012983
+    theta, = airy.find_linear_resonances(
+        xi, (-114.63333731985549, -65.11236201385135), grid_cells=1000)
+
+    def scipy_residual(t):
+        s = airy.sigma_parameter(xi, t)
+        ai_s, _, bi_s, _ = scipy.special.airy(s)
+        _, dai_w, _, dbi_w = scipy.special.airy(s * (1.0 - xi))
+        return ai_s * dbi_w - bi_s * dai_w
+
+    exact = brentq(scipy_residual, theta - 1e-9, theta + 1e-9,
+                   xtol=1e-14, rtol=1e-15)
+    assert abs(theta - exact) > 1e-11
+    s = airy.sigma_parameter(xi, exact)
+    ai_s = scipy.special.airy(s)[0]
+    dai_w = scipy.special.airy(s * (1.0 - xi))[1]
+    assert abs(ai_s) < 1e-4 and abs(dai_w) < 1e-3
+    alpha = -(1.0 / (3.0 * xi * s)) * ((dai_w / ai_s) ** 2
+                                       + s * (1.0 - xi) ** 2)
+    weighted = -(1.0 / (3.0 * xi * exact)) * (
+        1.0 + s * (1.0 - xi) ** 2 * (ai_s / dai_w) ** 2)
+    assert airy.alpha_linear(xi, theta, 1.0) == pytest.approx(alpha, rel=1e-10)
+    assert airy.linear_weighted_square_integral(xi, theta) == pytest.approx(
+        weighted, rel=1e-10)
+
+
+@pytest.mark.parametrize("window", [(0.5, 3000.0), (-3000.0, -0.5)])
+def test_closed_forms_where_one_point_is_positive(window):
+    # xi = 2 puts w = -s on the other side of 0, where Ai(s) or Ai'(w) is
+    # exponentially small at a root: both products of the residual are,
+    # and Ai'(w)/Ai(s) is off by 150x at theta = -2938 while Bi'(w)/Bi(s)
+    # is well conditioned
+    xi = 2.0
+
+    def scipy_residual(t):
+        s = airy.sigma_parameter(xi, t)
+        ai_s, _, bi_s, _ = scipy.special.airy(s)
+        _, dai_w, _, dbi_w = scipy.special.airy(s * (1.0 - xi))
+        return ai_s * dbi_w - bi_s * dai_w
+
+    roots = airy.find_linear_resonances(xi, window)
+    assert len(roots) == 6
+    for theta in roots:
+        half = 1e-6 * (1.0 + abs(theta))
+        exact = brentq(scipy_residual, theta - half, theta + half,
+                       xtol=1e-14, rtol=1e-15)
+        s = airy.sigma_parameter(xi, exact)
+        bi_s = scipy.special.airy(s)[2]
+        dbi_w = scipy.special.airy(s * (1.0 - xi))[3]
+        ratio = (dbi_w / bi_s) ** 2
+        alpha = -(1.0 / (3.0 * xi * s)) * (ratio + s * (1.0 - xi) ** 2)
+        weighted = -(1.0 / (3.0 * xi * exact)) * (
+            1.0 + s * (1.0 - xi) ** 2 / ratio)
+        assert airy.alpha_linear(xi, theta, 1.0) == pytest.approx(
+            alpha, rel=1e-10)
+        assert airy.linear_weighted_square_integral(xi, theta) == (
+            pytest.approx(weighted, rel=1e-10))
+
+
 def test_square_guard_continuity():
     # tiny xi routes to the trig forms and stays continuous across the guard
     theta = -5.0
