@@ -8,18 +8,13 @@ real zero-energy endpoint (psi(M), psi'(M)) of a stack of couplings, and
 resolvent kernel, whose step series are themselves its dense output.
 ``march`` is the one adaptive integrator: DOP853, restarting at every
 breakpoint of V so that coefficient discontinuities never sit inside a
-step.  It keeps only the certifying gate shot and ``solve_psi``.
+step.  It keeps only the certifying gate shot and ``solve_psi``, and a
+dense march is read through scipy's ``OdeSolution`` of each piece.
 Small-range solves at scale eps are always routed through the rescaling
 u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps), which keeps the integrated
 problem O(1) in the regime |lambda| = O(eps^-2).  Along a critical schedule
 eps^2*lambda(eps) = theta + omega*eps, so the bases of a whole eps sequence
 are one transfer, on one set of steps.
-
-A dense march keeps no per-step scipy objects: it stacks the attributes
-``t_old``, ``h``, ``y_old`` and ``F`` of every step's ``Dop853DenseOutput``
-into arrays once, and ``Trajectory`` reads any set of points from them in a
-fixed number of numpy operations.  These are scipy internals;
-tests/test_ode.py pins them and checks every read against scipy's own.
 """
 from __future__ import annotations
 
@@ -55,56 +50,24 @@ class CauchyState:
     derivative: complex
 
 
-@dataclass(frozen=True)
-class _DenseSteps:
-    """The DOP853 interpolants of every step of a dense march, stacked once.
-
-    Step i starts at t_old[i], has length h[i], state y_old[i] and the
-    interpolant coefficients F[i] (shape (7, rows)): the attributes
-    ``t_old``, ``h``, ``y_old`` and ``F`` of scipy's ``Dop853DenseOutput``,
-    which tests/test_ode.py pins.  Piece p of V, from cuts[p] to
-    cuts[p + 1], starts at step first[p]."""
-
-    cuts: np.ndarray
-    first: np.ndarray
-    t_old: np.ndarray
-    h: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
-
-    @classmethod
-    def stack(cls, cuts, pieces) -> _DenseSteps:
-        """Stack the steps of each piece, given as lists of
-        ``Dop853DenseOutput``."""
-        steps = [step for piece in pieces for step in piece]
-        return cls(np.asarray(cuts, dtype=float),
-                   np.cumsum([0, *map(len, pieces[:-1])]),
-                   np.array([step.t_old for step in steps]),
-                   np.array([step.h for step in steps]),
-                   np.array([step.y_old for step in steps]),
-                   np.array([step.F for step in steps]))
-
-
 class Trajectory:
     """Dense solution of a second-order Cauchy problem on [0, x_end]: rows
     (row, row + 1) of the marched state, read as (value, derivative).
 
-    ``steps`` is the stacked interpolant data of a dense ``march``.  A read
-    picks each point's piece of V with side="right" (a breakpoint belongs to
-    the piece it starts) and its step inside the piece with side="left", as
-    scipy's ``OdeSolution`` does.  It then evaluates the Horner sequence of
-    ``Dop853DenseOutput._call_impl`` in the same order, on its own two rows
-    only, so it is bit-identical to a read through scipy; tests/test_ode.py
-    keeps that read as the oracle."""
+    ``pieces`` is (cuts, solutions) of a dense ``march``: the breakpoints of
+    V and scipy's DOP853 ``OdeSolution`` of each piece between them.  A read
+    picks each point's piece with side="right", clipped (a breakpoint belongs
+    to the piece it starts), and evaluates that piece's ``OdeSolution``."""
 
-    def __init__(self, steps: _DenseSteps, y_end, row: int = 0):
-        self._steps = steps
+    def __init__(self, pieces, y_end, row: int = 0):
+        cuts, self._sols = pieces
+        self._cuts = np.asarray(cuts, dtype=float)
         self._rows = slice(row, row + 2)
         self._y_end = y_end[self._rows]    # (value, derivative) at x_end
 
     @property
     def x_end(self) -> float:
-        return float(self._steps.cuts[-1])
+        return float(self._cuts[-1])
 
     @property
     def endpoint(self) -> CauchyState:
@@ -113,25 +76,13 @@ class Trajectory:
     def __call__(self, x):
         """Return (value, derivative) at x (scalar or array) via the
         integrator's dense interpolant."""
-        s = self._steps
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        piece = np.clip(np.searchsorted(s.cuts, xs, side="right") - 1,
-                        0, s.cuts.size - 2)
-        # steps are ascending across pieces, so only a point on a breakpoint
-        # (or below 0) needs lifting into its piece's first step
-        i = np.maximum(np.searchsorted(s.t_old, xs, side="left") - 1,
-                       s.first[piece])
-        u = ((xs - s.t_old[i]) / s.h[i])[:, None]
-        coeffs = s.F[i, ::-1, self._rows]
-        y = np.zeros((xs.size, 2), dtype=s.y_old.dtype)
-        for k in range(coeffs.shape[1]):
-            y += coeffs[:, k]
-            if k % 2 == 0:
-                y *= u
-            else:
-                y *= 1 - u
-        y += s.y_old[i, self._rows]
-        out = y.T.copy()
+        piece = np.clip(np.searchsorted(self._cuts, xs, side="right") - 1,
+                        0, len(self._sols) - 1)
+        out = np.empty((2, xs.size), dtype=self._y_end.dtype)
+        for p in np.unique(piece).tolist():
+            sel = piece == p
+            out[:, sel] = self._sols[p](xs[sel])[self._rows]
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return out[0, 0], out[1, 0]
         return out[0], out[1]
@@ -166,7 +117,8 @@ class ScaledTrajectory:
 
 def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
     """Integrate y' = rhs(x, y) from 0 to the support edge of V, restarting
-    at every breakpoint.  Returns the stacked ``_DenseSteps`` (None unless
+    at every breakpoint.  Returns the pieces of a ``Trajectory`` (the
+    breakpoints and the ``OdeSolution`` of each piece; None unless
     ``dense``) and the state at the edge."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -179,9 +131,9 @@ def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
         if not sol.success or not np.all(np.isfinite(sol.y)):
             raise NonConvergence(f"integration failed on [{lo}, {hi}]: {sol.message}")
         if dense:
-            pieces.append(sol.sol.interpolants)
+            pieces.append(sol.sol)
         y = sol.y[:, -1].copy()
-    return (_DenseSteps.stack(cuts, pieces) if dense else None), y
+    return ((cuts, pieces) if dense else None), y
 
 
 _TAYLOR_RHO = 3.0        # kappa*h of a Taylor step: about half a local wavelength

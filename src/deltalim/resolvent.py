@@ -307,15 +307,21 @@ def convergence_study(V: Potential, law: ScalingLaw, z, f, eps_list, x_grid,
     The interior bases of every eps come from one dense Taylor transfer
     (``solve_uv``), whose fixed steps are counted from the largest scaled
     coupling eps^2*lambda(eps); each eps then matches its own kernel to the
-    exterior."""
+    exterior.  Raises ValueError unless x_grid is 1-d, strictly increasing
+    and has at least 2 points, and eps_list is not empty."""
     xs = np.asarray(x_grid, dtype=float)
+    if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0.0):
+        raise ValueError("x_grid must be 1-d, strictly increasing and have "
+                         "at least 2 points")
+    eps = list(eps_list)
+    if not eps:
+        raise ValueError("eps_list must not be empty")
     limit = classify_scaling(V, law)
     if limit.kind == "robin":
         ref = kernel_reference("robin", z, alpha=limit.alpha)
     else:
         ref = kernel_reference("dirichlet", z)
     ref_vals = apply_resolvent(ref, f, xs, f_breakpoints, y_max=y_max)
-    eps = list(eps_list)
     lams = [law.coupling(e) for e in eps]
     bases = solve_uv(V, lams, eps, z, tol)
     rows = []

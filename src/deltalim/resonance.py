@@ -98,9 +98,9 @@ def _shoot_profile(V: Potential, theta: float, tol: float):
         v = V(x)
         return [dpsi, theta * v * psi, v * psi * psi, dpsi * dpsi]
 
-    steps, y_end = march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol,
-                         dense=True)
-    return Trajectory(steps, y_end), y_end.tolist()
+    pieces, y_end = march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol,
+                          dense=True)
+    return Trajectory(pieces, y_end), y_end.tolist()
 
 
 def _certify(V: Potential, a: float, b: float, root_tol: float,
@@ -133,7 +133,8 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
         g = np.array([known[x] for x in t])
         cheb = np.polynomial.Chebyshev.fit(nodes, g[1:-1], CHEB_NODES - 1,
                                            domain=[lo, hi])
-        cross = g[:-1] * g[1:] <= 0.0
+        sign = np.sign(g)
+        cross = sign[:-1] * sign[1:] <= 0.0
         cross[1:] &= g[1:-1] != 0.0     # a zero point closes one sub-interval
         for j in np.flatnonzero(cross).tolist():
             # the shot values stand at the ends, whose signs bracket the
@@ -163,7 +164,8 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
                 ))
             elif k < CERTIFY_ROUNDS:
                 known[theta] = slope
-                half = (t[j], theta) if g[j] * slope < 0.0 else (theta, t[j + 1])
+                below = sign[j] * np.sign(slope) < 0.0
+                half = (t[j], theta) if below else (theta, t[j + 1])
                 rounds.append((*half, k + 1))
             else:
                 raise BracketScanTooCoarse(
@@ -219,7 +221,8 @@ def refine_nearest_first(grid, vals, refine, found, max_hits, key=abs):
         return 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
 
     found = sorted(found, key=key)
-    for i in sorted(np.flatnonzero(vals[:-1] * vals[1:] < 0.0), key=nearest):
+    sign = np.sign(vals)
+    for i in sorted(np.flatnonzero(sign[:-1] * sign[1:] < 0.0), key=nearest):
         if max_hits is not None and len(found) >= max_hits and (
                 max_hits == 0 or nearest(i) >= key(found[max_hits - 1])):
             break
@@ -252,7 +255,7 @@ def resonance_membership(V: Potential, theta: float, tol: float = 1e-6,
     known = dict(zip(thetas.tolist(), slopes.tolist()))
     for a, b in brackets:
         fa, fb = known[a], known[b]
-        if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
+        if np.sign(fa) * np.sign(fb) <= 0.0:
             hits = _certify(V, a, b, max(1e-10, tol * 1e-2), ode_tol, known)
             hit = min(hits, key=lambda h: abs(h.theta - theta))
             if abs(hit.theta - theta) <= tol * (1.0 + abs(theta)):

@@ -314,6 +314,18 @@ def test_max_hits_rejects_a_negative_count():
         airy.find_linear_resonances(0.7, (-80.0, -0.5), max_hits=-1)
 
 
+def test_deep_window_scans_without_overflow():
+    # at s near -99, w near 99 the residuals pass 1e154, so the product of
+    # two grid values would overflow.  Bi'(w) > 0 dominates there, so the
+    # residual has the sign of Ai(s): the same at both ends of a window
+    # 0.005 wide in s, far inside one gap between zeros of Ai
+    theta0 = 4.0 * (-99.0) ** 3
+    window = (theta0 - 300.0, theta0 + 300.0)
+    ends = scipy.special.airy(np.cbrt(np.array(window) / 4.0))[0]
+    assert np.sign(ends[0]) == np.sign(ends[1])
+    assert airy.find_linear_resonances(2.0, window, grid_cells=400) == []
+
+
 # ---------------------------------------------------------------------------
 # array evaluation: bit-identical to the scalar path
 

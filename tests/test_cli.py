@@ -83,6 +83,21 @@ def test_converge_eps_must_decrease():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--eps", ","), ("--x-count", "1"), ("--x-count", "0"),
+    ("--x-range", "2:1"), ("--x-range", "1:1"), ("--x-range", "0.1:inf")])
+def test_converge_degenerate_grid_is_usage_error(capsys, option, value):
+    # one x point would print error_L2 0, a reversed range nan, and no eps
+    # at all a numpy reduction error
+    argv = {"--eps": "1e-1,1e-2", option: value}
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["converge", "--potential", "square", "--theta", "-1",
+                 "--omega", "1", "--z", "0,1",
+                 *[tok for pair in argv.items() for tok in pair]])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 def test_airy_table_csv(tmp_path):
     out = tmp_path / "airy.csv"
     run_ok(["airy-table", "--x-range", "-2:2", "--count", "5",

@@ -354,8 +354,8 @@ def _uv_march(V, theta, z, eps, tol=1e-10):
 
 
 def _uv(V, theta, z):
-    steps, y_end = _uv_march(V, theta, z, [1e-1, 1e-2, 1e-3])
-    return [(ode.Trajectory(steps, y_end, row), row)
+    pieces, y_end = _uv_march(V, theta, z, [1e-1, 1e-2, 1e-3])
+    return [(ode.Trajectory(pieces, y_end, row), row)
             for row in range(0, y_end.size, 2)]
 
 
@@ -397,31 +397,11 @@ def test_stacked_read_is_scipys_read(monkeypatch, solve, make_V, theta, z):
         assert [a.size for a in traj(np.empty(0))] == [0, 0]
 
 
-def test_stacked_read_calls_no_scipy_interpolant(monkeypatch):
-    # a read touches only the arrays march stacked from the attributes
-    # t_old, h, y_old and F of each Dop853DenseOutput, never scipy's code
-    V = _two_piece()
-    sols = _recording(monkeypatch)
-    steps, y_end = _uv_march(V, -17.0, 0.5 + 1.0j, [1.0])
-    psi, chi = (ode.Trajectory(steps, y_end, row) for row in (0, 2))
-    assert all(isinstance(step, Dop853DenseOutput)
-               for sol in sols for step in sol.interpolants)
-    xs = np.linspace(0.0, 1.0, 33)
-    want = [_scipy_read(sols, V.breakpoints, row, xs) for row in (0, 2)]
-
-    def refuse(self, t):
-        raise AssertionError("read through scipy's interpolant")
-
-    monkeypatch.setattr(Dop853DenseOutput, "_call_impl", refuse)
-    for view, (val, der) in zip((psi, chi), want):
-        got = view(xs)
-        assert _bit_equal(got[0], val) and _bit_equal(got[1], der)
-
-
 def test_stacked_read_keeps_the_step_rule():
-    # random interpolants disagree where neighbours meet, so scipy's rule
-    # shows: a step edge reads the lower step and a breakpoint the upper
-    # piece (on real marches the two sides agree to the last bit)
+    # random interpolants disagree where neighbours meet, so the rule shows:
+    # a breakpoint reads the upper piece, and a step edge inside a piece the
+    # lower step, as OdeSolution does (on real marches the two sides agree
+    # to the last bit)
     rng = np.random.default_rng(3)
     cuts = np.array([0.0, 0.4, 1.0])
     pieces = []
@@ -431,7 +411,7 @@ def test_stacked_read_keeps_the_step_rule():
                                          rng.normal(size=(7, 4)))
                        for a, b in zip(ts[:-1], ts[1:])])
     sols = [OdeSolution([s.t_old for s in p] + [p[-1].t], p) for p in pieces]
-    traj = ode.Trajectory(ode._DenseSteps.stack(cuts, pieces), np.zeros(4), 2)
+    traj = ode.Trajectory((cuts, sols), np.zeros(4), 2)
     xs = np.concatenate([np.concatenate([s.ts for s in sols]),
                          [-0.5, 1.5], rng.uniform(0.0, 1.0, 50)])
     for got, want in zip(traj(xs), _scipy_read(sols, cuts, 2, xs)):

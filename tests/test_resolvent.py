@@ -228,6 +228,25 @@ def test_convergence_study_monotone():
     assert rows[0].lam == pytest.approx(THETA0 / 1e-2 + 20.0)
 
 
+@pytest.mark.parametrize("eps_list, x_grid, name", [
+    ([1e-1], [1.0], "x_grid"),
+    ([1e-1], [2.0, 1.0], "x_grid"),
+    ([1e-1], [1.0, 1.0, 2.0], "x_grid"),
+    ([1e-1], [[1.0, 2.0]], "x_grid"),
+    ([1e-1], [1.0, np.nan], "x_grid"),
+    ([], [1.0, 2.0], "eps_list"),
+], ids=["one_point", "reversed", "repeated", "2d", "nan", "no_eps"])
+def test_convergence_study_rejects_degenerate_grids(count_calls, eps_list,
+                                                    x_grid, name):
+    # rejected before any shot, instead of an error_L2 of 0 or nan
+    shots = count_calls(resonance, "taylor_endpoints")
+    f = lambda y: ((y >= 1.0) & (y <= 2.0)).astype(float)
+    with pytest.raises(ValueError, match=name):
+        resolvent.convergence_study(potential.square(), ScalingLaw(THETA0, 2.0),
+                                    1j, f, eps_list, x_grid)
+    assert not shots
+
+
 def test_convergence_study_marches_the_basis_once(count_calls):
     # the bases of all five eps are one Taylor transfer of five couplings;
     # the non-resonant membership test shoots its bracket ends by another

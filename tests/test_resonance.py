@@ -163,6 +163,22 @@ def test_no_resonances_for_zero_potential():
     assert resonance.find_resonances(potential.zero(), (-50.0, -0.5)) == []
 
 
+def test_huge_residuals_scan_without_overflow():
+    # psi'(M) passes 1e154 on this window, so the product of two grid values
+    # would overflow; the square well has no resonance at theta > 0
+    assert resonance.find_resonances(potential.square(), (1.25e5, 1.3e5)) == []
+
+
+def test_sign_changes_are_read_from_signs():
+    # a product overflows at 1e200 and underflows to -0.0 at 1e-200; signs
+    # do neither, and a zero value starts no sign-change cell
+    cells = []
+    resonance.refine_nearest_first(
+        np.arange(5.0), np.array([1e200, -1e200, -0.0, 1e-200, -1e-200]),
+        lambda i: cells.append(i) or [], [], None)
+    assert cells == [0, 3]
+
+
 def test_shoot_residual_matches_trajectory():
     V = potential.linear(0.5)
     val, der = resonance.shoot_residual(V, -9.0, 1e-12)
