@@ -1,14 +1,15 @@
 """Cauchy problems for the half-line Schrodinger reductions.
 
 Solves -psi'' + (theta*V - gamma*z)*psi = 0 on [0, M].  V is a cubic on
-each piece, so the stacked solves step with an exact-order Taylor series
-whose steps and order are fixed in advance: ``taylor_endpoints`` gives the
-real zero-energy endpoint (psi(M), psi'(M)) of a stack of couplings, and
+each piece, so the stacked solves are one Taylor march whose steps and
+order are fixed in advance: ``taylor_endpoints`` gives the real
+zero-energy endpoint (psi(M), psi'(M)) of a stack of couplings, and
 ``solve_uv`` the dense, possibly complex, interior basis (u, v) of every
-resolvent kernel, whose step series are themselves its dense output.
+resolvent kernel, whose dense output is the march's kept step series.
 ``march`` is the one adaptive integrator: DOP853, restarting at every
 breakpoint of V so that coefficient discontinuities never sit inside a
-step.  It keeps only the certifying gate shot and ``solve_psi``, and a
+step, and reading each inner piece's right-hand side just below its upper
+end.  It keeps only the certifying gate shot and ``solve_psi``, and a
 dense march is read through scipy's ``OdeSolution`` of each piece.
 Small-range solves at scale eps are always routed through the rescaling
 u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps), which keeps the integrated
@@ -119,14 +120,23 @@ def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
     """Integrate y' = rhs(x, y) from 0 to the support edge of V, restarting
     at every breakpoint.  Returns the pieces of a ``Trajectory`` (the
     breakpoints and the ``OdeSolution`` of each piece; None unless
-    ``dense``) and the state at the edge."""
+    ``dense``) and the state at the edge.
+
+    DOP853's last stage of a piece's last step sits at its upper end hi,
+    which V gives to the next piece; an inner piece reads rhs at the float
+    just below hi instead, so that a jump of V does not make the error
+    control reject and shrink the steps before it."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     cuts = V.breakpoints
     pieces = []
     y = y0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853",
+        f = rhs
+        if hi < cuts[-1]:
+            def f(x, y, top=math.nextafter(hi, lo)):
+                return rhs(min(x, top), y)
+        sol = solve_ivp(f, (lo, hi), y, method="DOP853",
                         rtol=tol, atol=tol * 1e-3, dense_output=dense)
         if not sol.success or not np.all(np.isfinite(sol.y)):
             raise NonConvergence(f"integration failed on [{lo}, {hi}]: {sol.message}")
@@ -207,7 +217,8 @@ def _taylor_terms(theta, d, h: float, p: int, gz=None):
          for j, dj in enumerate(d) if np.any(dj)]
     if gz is not None:
         w.append((0, -gz * (h * h)))
-    b = np.zeros((2, 2, d.shape[1], theta.size))
+    b = np.zeros((2, 2, d.shape[1], theta.size),
+                 dtype=np.result_type(theta, 0.0 if gz is None else gz))
     b[0, 0] = b[1, 1] = 1.0
     terms = list(b)         # the last five terms; terms[-1] is b_{k+1}
     yield from terms
@@ -218,65 +229,83 @@ def _taylor_terms(theta, d, h: float, p: int, gz=None):
         yield nxt
 
 
-def _taylor_transfers(theta, d, h: float, p: int):
-    """The step transfers of ``_taylor_terms``, summed as the terms come, so
-    no more than five of them are held at once.
+def _taylor_march(V: Potential, theta, y, tol: float, gz=None,
+                  dense: bool = False):
+    """Taylor transfer of psi'' = (theta_k*V - gz_k)*psi (gz = 0 if None)
+    from the state y at 0, shape (2, ..., couplings): (value, slope).
 
-    Returns (val, der), each of shape (2, steps, couplings): a step maps
-    the state (psi, h*psi') at its start to
-    (val[0]*psi + val[1]*h*psi', der[0]*psi + der[1]*h*psi')."""
-    terms = _taylor_terms(theta, d, h, p)
-    b0, b1 = next(terms), next(terms)
-    val, der = b0 + b1, b1.copy()
-    for k, nxt in enumerate(terms, 2):
-        val += nxt
-        der += k * nxt
-    return val, der
+    Each piece of V is crossed in n equal steps of order p, both fixed in
+    advance from the largest |theta| and |gz| and from tol (``_taylor_steps``,
+    ``_taylor_order``), so every coupling gets the near machine-precision
+    value it gets alone.  The terms of ``_taylor_terms`` are summed, a block
+    of steps at a time, into step transfers (val, der) of shape
+    (2, steps, couplings): a step maps (psi, h*psi') at its start to
+    (val[0]*psi + val[1]*h*psi', der[0]*psi + der[1]*h*psi').  A constant
+    piece has one transfer, taken n times; only their product loops over
+    steps.  With ``dense``, y has shape (2, solutions, couplings), and the
+    kept terms b_m and each step's start state give that step's series
+    psi(x_i + s*h) = sum_m a_m s^m, a_m = psi_i*b_m(col 0)
+    + h*psi'_i*b_m(col 1).
+    Returns (step starts, step lengths, a of shape (p+1, steps, solutions,
+    couplings)) or None, and the state at M.  A state that overflows raises
+    NonConvergence naming its piece."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    big = float(np.max(np.abs(theta), initial=0.0))
+    shift = 0.0 if gz is None else float(np.max(np.abs(gz)))
+    if not math.isfinite(big + shift):
+        raise ValueError("couplings must be finite" if gz is None
+                         else "couplings and energies must be finite")
+    p = _taylor_order(tol)
+    cuts = V.breakpoints
+    block = max(1, _TAYLOR_BLOCK // max(theta.size, 1))
+    starts, lengths, series = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, c in zip(cuts[:-1], cuts[1:], V.coeffs):
+            n = _taylor_steps(c, lo, hi, big, shift)
+            h = (hi - lo) / n
+            x0 = lo + h * np.arange(n)
+            # a constant piece has one transfer, taken n times
+            repeat = 1 if any(c[1:]) else n
+            tx = x0[:n // repeat]   # the starts of distinct transfers
+            psi, q = y[0], h * y[1]
+            for first in range(0, tx.size, block):
+                d = _local_coeffs(c, tx[first:first + block])
+                val = der = 0.0     # the step transfers, summed as terms come
+                kept, at = [], []   # dense only: the terms, the start states
+                for k, b in enumerate(_taylor_terms(theta, d, h, p, gz)):
+                    val += b
+                    der += k * b
+                    if dense:
+                        kept.append(b)
+                for i in range(val.shape[1]):
+                    for _ in range(repeat):
+                        if dense:
+                            at.append((psi, q))
+                        psi, q = (val[0, i] * psi + val[1, i] * q,
+                                  der[0, i] * psi + der[1, i] * q)
+                if dense:   # a: (term, step, solution, coupling)
+                    t, at = np.stack(kept)[..., None, :], np.array(at)
+                    series.append(t[:, 0] * at[:, 0] + t[:, 1] * at[:, 1])
+            y = np.array([psi, q / h])
+            if not np.all(np.isfinite(y)):
+                raise NonConvergence(
+                    f"Taylor transfer overflowed on [{lo}, {hi}]")
+            starts.append(x0)
+            lengths.append(np.full(n, h))
+    return ((np.concatenate(starts), np.concatenate(lengths),
+             np.concatenate(series, axis=1)) if dense else None), y
 
 
 def taylor_endpoints(V: Potential, thetas, tol: float = DEFAULT_TOL):
     """Endpoint data (psi(M), psi'(M)) of the zero-energy shooting solution
-    (psi(0)=0, psi'(0)=1 of psi'' = theta*V*psi) for an array of couplings.
-
-    Each piece of V is crossed in n equal steps, each an order-p Taylor
-    series whose terms come from the recurrence of ``_taylor_transfers``.
-    Both are fixed in advance, from the largest |theta| of the stack and from
-    tol (``_taylor_steps`` and ``_taylor_order``), so nothing is adaptive:
-    every coupling gets the same near machine-precision value it gets
-    alone, and a lone theta = 0 takes one exact step per piece.  The transfers of all steps and couplings
-    of a piece are built in a few array operations; only their product is a
-    loop over steps.  A state that overflows raises NonConvergence naming
-    its piece."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    (psi(0)=0, psi'(0)=1 of psi'' = theta*V*psi) for an array of couplings:
+    one ``_taylor_march`` of the stack, whose steps are counted from its
+    largest |theta|.  A lone theta = 0 takes one exact step per piece."""
     theta = np.asarray(thetas, dtype=float)
-    big = float(np.max(np.abs(theta), initial=0.0))
-    if not math.isfinite(big):
-        raise ValueError("couplings must be finite")
-    p = _taylor_order(tol)
-    psi, dpsi = np.zeros_like(theta), np.ones_like(theta)
-    cuts = V.breakpoints
-    block = max(1, _TAYLOR_BLOCK // max(theta.size, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, c in zip(cuts[:-1], cuts[1:], V.coeffs):
-            n = _taylor_steps(c, lo, hi, big)
-            h = (hi - lo) / n
-            # a constant piece has one transfer, taken n times
-            repeat = 1 if any(c[1:]) else n
-            starts = lo + h * np.arange(n // repeat)
-            q = h * dpsi
-            for first in range(0, starts.size, block):
-                val, der = _taylor_transfers(
-                    theta, _local_coeffs(c, starts[first:first + block]), h, p)
-                for i in range(val.shape[1]):
-                    for _ in range(repeat):
-                        psi, q = (val[0, i] * psi + val[1, i] * q,
-                                  der[0, i] * psi + der[1, i] * q)
-            dpsi = q / h
-            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))):
-                raise NonConvergence(
-                    f"Taylor transfer overflowed on [{lo}, {hi}]")
-    return psi, dpsi
+    y = _taylor_march(V, theta, np.array([np.zeros_like(theta),
+                                          np.ones_like(theta)]), tol)[1]
+    return y[0], y[1]
 
 
 def _energy_and_state(gamma, z, y0):
@@ -302,59 +331,24 @@ def solve_psi(V: Potential, theta: float, gamma: float = 0.0, z=0.0,
 
 
 def _taylor_basis(V: Potential, theta, gz, y, tol: float):
-    """Dense Taylor transfer of psi'' = (theta_k*V - gz_k)*psi for a stack
-    of couplings and two solutions of each, from the state y at 0, of shape
-    (2, 2, couplings):
-    (value, slope) x (solution, coupling).
+    """Dense ``_taylor_march`` of psi'' = (theta_k*V - gz_k)*psi for a stack
+    of couplings and two solutions of each, from the state y at 0 of shape
+    (2, 2, couplings): (value, slope) x (solution, coupling).
 
-    The steps are those of ``taylor_endpoints``, counted from the largest
-    |theta| plus the largest |gz|, and one transfer per step and coupling
-    carries both solutions.  The terms of each step are kept as the dense
-    output: solution j of coupling k has psi(x_i + s*h) = sum_m a_m s^m,
-    a_m = psi_i*b_m(col 0) + h*psi'_i*b_m(col 1).  Returns the step starts,
+    The steps are counted from the largest |theta| plus the largest |gz|,
+    and one transfer per step and coupling carries both solutions.  Lays the
+    march's series out for ``_TaylorTrajectory``: returns the step starts,
     the step lengths, the coefficients, shape (2*couplings, steps, 2, p+1),
     of (value, slope) of each solution, and the state at M, shape
-    (2*couplings, 2).  A state that overflows raises NonConvergence naming
-    its piece."""
-    big = float(np.max(np.abs(theta)))
-    shift = float(np.max(np.abs(gz)))
-    if not math.isfinite(big + shift):
-        raise ValueError("couplings and energies must be finite")
-    p = _taylor_order(tol)
-    order = np.arange(p + 1)
-    starts, lengths, coeffs = [], [], []
-    cuts = V.breakpoints
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, c in zip(cuts[:-1], cuts[1:], V.coeffs):
-            n = _taylor_steps(c, lo, hi, big, shift)
-            h = (hi - lo) / n
-            x0 = lo + h * np.arange(n)
-            b = np.stack(list(_taylor_terms(theta, _local_coeffs(c, x0), h,
-                                            p, gz)))
-            val = b.sum(axis=0)
-            der = np.tensordot(order, b, axes=1)
-            at = np.empty((n, *y.shape), dtype=np.result_type(val, y))
-            psi, q = y[0], h * y[1]
-            for i in range(n):
-                at[i] = psi, q
-                psi, q = (val[0, i] * psi + val[1, i] * q,
-                          der[0, i] * psi + der[1, i] * q)
-            y = np.array([psi, q / h])
-            if not np.all(np.isfinite(y)):
-                raise NonConvergence(
-                    f"Taylor transfer overflowed on [{lo}, {hi}]")
-            # (term, step, solution, coupling)
-            a = (b[:, 0, :, None] * at[None, :, 0]
-                 + b[:, 1, :, None] * at[None, :, 1])
-            slope = np.zeros_like(a)
-            slope[:-1] = order[1:, None, None, None] * a[1:] / h
-            starts.append(x0)
-            lengths.append(np.full(n, h))
-            coeffs.append(np.stack([a, slope]))
+    (2*couplings, 2)."""
+    (starts, lengths, a), y = _taylor_march(V, theta, y, tol, gz, dense=True)
+    slope = np.zeros_like(a)
+    slope[:-1] = (np.arange(1, a.shape[0])[:, None, None, None] * a[1:]
+                  / lengths[:, None, None])
     # (value/slope, term, step, solution, coupling) ->
     # (coupling, solution, step, value/slope, term), one block per solution
-    table = np.concatenate(coeffs, axis=2).transpose(4, 3, 2, 0, 1)
-    return (np.concatenate(starts), np.concatenate(lengths),
+    table = np.stack([a, slope]).transpose(4, 3, 2, 0, 1)
+    return (starts, lengths,
             np.ascontiguousarray(table.reshape(-1, *table.shape[2:])),
             y.transpose(2, 1, 0).reshape(-1, 2))
 
@@ -410,8 +404,6 @@ def solve_uv(V: Potential, lam, eps, z, tol: float = DEFAULT_TOL):
                                      np.asarray(eps, dtype=float))
     if np.any(epss <= 0):
         raise ValueError("eps must be positive")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     epss = np.atleast_1d(epss)
     gz, y0 = _energy_and_state(epss * epss, z, np.multiply.outer(
         [[0.0, 1.0], [1.0, 0.0]], np.ones(epss.size)))

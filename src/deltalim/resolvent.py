@@ -307,8 +307,9 @@ def convergence_study(V: Potential, law: ScalingLaw, z, f, eps_list, x_grid,
     The interior bases of every eps come from one dense Taylor transfer
     (``solve_uv``), whose fixed steps are counted from the largest scaled
     coupling eps^2*lambda(eps); each eps then matches its own kernel to the
-    exterior.  Raises ValueError unless x_grid is 1-d, strictly increasing
-    and has at least 2 points, and eps_list is not empty."""
+    exterior.  Raises ValueError, before any shot, unless x_grid is 1-d,
+    strictly increasing and has at least 2 points, and eps_list is not empty
+    and holds only finite, positive eps."""
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0.0):
         raise ValueError("x_grid must be 1-d, strictly increasing and have "
@@ -316,6 +317,10 @@ def convergence_study(V: Potential, law: ScalingLaw, z, f, eps_list, x_grid,
     eps = list(eps_list)
     if not eps:
         raise ValueError("eps_list must not be empty")
+    for e in eps:
+        if not 0.0 < e < np.inf:
+            raise ValueError(
+                f"eps_list must hold finite, positive eps, not {e}")
     limit = classify_scaling(V, law)
     if limit.kind == "robin":
         ref = kernel_reference("robin", z, alpha=limit.alpha)

@@ -257,14 +257,34 @@ def test_taylor_values_do_not_depend_on_the_stack():
         assert abs(p - alone[0][0]) <= 1e-14 and abs(d - alone[1][0]) <= 1e-14
 
 
+def _basis_reads(V):
+    """u and v of a three-pair solve_uv on V, read at 41 points and at the
+    end, as one list."""
+    eps = [1e-1, 1e-2, 1e-3]
+    lams = [t / e ** 2 for t, e in zip((-2e4, -300.0, -17.0), eps)]
+    reads, xs = [], np.linspace(0.0, 1.0, 41)
+    for e, views in zip(eps, ode.solve_uv(V, lams, eps, 0.5 + 1.0j, 1e-12)):
+        for view in views:
+            end = view.endpoint
+            reads += [*view(e * xs * V.support_end), end.value, end.derivative]
+    return np.hstack(reads).tolist()
+
+
 def test_taylor_blocks_change_nothing(monkeypatch):
-    # the transfers of a piece are built a block of steps at a time; any
-    # block size gives the same bits
+    # the transfers of a piece are built a block of steps at a time, for the
+    # endpoints and for the dense basis alike; any block size gives the same
+    # bits (the square well's constant piece is one transfer at any size)
     V, theta = potential.linear(0.7), -np.linspace(1.0, 2e4, 9)
+    Vs = [V, potential.piecewise((0.0, 0.45, 1.2), [(1.0, -0.5, 0.8, -1.2),
+                                                   (0.6, 0.3, -0.2, 0.4)]),
+          potential.square()]
     whole = ode.taylor_endpoints(V, theta, 1e-12)
+    bases = [_basis_reads(W) for W in Vs]
     monkeypatch.setattr(ode, "_TAYLOR_BLOCK", 20)
     for got, want in zip(ode.taylor_endpoints(V, theta, 1e-12), whole):
         assert got.tolist() == want.tolist()
+    for W, want in zip(Vs, bases):
+        assert _basis_reads(W) == want
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
@@ -291,6 +311,36 @@ def test_solve_ivp_has_one_call_site():
     users = sorted(p.name for p in src.glob("*.py")
                    if "solve_ivp" in p.read_text(encoding="utf-8"))
     assert users == ["ode.py"]
+
+
+@pytest.mark.parametrize("theta, tol", [(-10.0, 1e-10), (-10.0, 1e-12),
+                                        (-200.0, 1e-10), (-3000.0, 1e-10)])
+def test_march_keeps_each_piece_to_itself(theta, tol):
+    # V = 1 on [0, 1/2), 3 on [1/2, 1]: a march makes exactly the RHS
+    # evaluations of two separate solves of the constant pieces, whose last
+    # stage would otherwise read V's jump at x = 1/2 and shrink the steps
+    V = potential.piecewise((0.0, 0.5, 1.0), [(1.0, 0, 0, 0), (3.0, 0, 0, 0)])
+    calls = []
+
+    def rhs(x, y):
+        calls.append(x)
+        return [y[1], theta * V(x) * y[0]]
+
+    y = ode.march(V, rhs, np.array([0.0, 1.0]), tol)[1]
+    separate, y_sep = 0, np.array([0.0, 1.0])
+    for lo, hi, vj in ((0.0, 0.5, 1.0), (0.5, 1.0, 3.0)):
+        sol = solve_ivp(lambda x, y, vj=vj: [y[1], theta * vj * y[0]],
+                        (lo, hi), y_sep, method="DOP853",
+                        rtol=tol, atol=tol * 1e-3)
+        separate, y_sep = separate + sol.nfev, sol.y[:, -1]
+    assert len(calls) == separate
+    # psi = sin(k1 x)/k1 up to 1/2, then the k2 = sqrt(3) k1 wave it matches
+    k1 = np.sqrt(-theta)
+    k2 = np.sqrt(3.0) * k1
+    p, d = np.sin(k1 / 2) / k1, np.cos(k1 / 2)
+    want = (p * np.cos(k2 / 2) + d * np.sin(k2 / 2) / k2,
+            d * np.cos(k2 / 2) - k2 * p * np.sin(k2 / 2))
+    assert max(abs(y[0] - want[0]), abs(y[1] - want[1]) / k2) <= 100 * tol
 
 
 def _scipy_read(sols, cuts, row, x):

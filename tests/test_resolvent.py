@@ -235,7 +235,12 @@ def test_convergence_study_monotone():
     ([1e-1], [[1.0, 2.0]], "x_grid"),
     ([1e-1], [1.0, np.nan], "x_grid"),
     ([], [1.0, 2.0], "eps_list"),
-], ids=["one_point", "reversed", "repeated", "2d", "nan", "no_eps"])
+    # each eps must be finite and positive, and a bad one is named
+    ([1e-1, 0.0], [1.0, 2.0], "eps_list.* not 0.0$"),
+    ([1e-1, -0.01], [1.0, 2.0], "eps_list.* not -0.01$"),
+    ([1e-1, np.nan], [1.0, 2.0], "eps_list.* not nan$"),
+], ids=["one_point", "reversed", "repeated", "2d", "nan", "no_eps",
+        "zero_eps", "negative_eps", "nan_eps"])
 def test_convergence_study_rejects_degenerate_grids(count_calls, eps_list,
                                                     x_grid, name):
     # rejected before any shot, instead of an error_L2 of 0 or nan
