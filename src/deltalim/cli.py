@@ -289,10 +289,10 @@ def run(argv=None) -> int:
         args.z = _nonreal(args.z, parser)
     if args.command == "converge":
         eps = args.eps
-        if not eps or any(e <= 0 for e in eps) or any(a <= b for a, b
-                                                      in zip(eps, eps[1:])):
-            parser.error("--eps must be non-empty, positive and strictly "
-                         "decreasing")
+        if not eps or not all(0 < e < math.inf for e in eps) or any(
+                a <= b for a, b in zip(eps, eps[1:])):
+            parser.error("--eps must be non-empty, finite, positive and "
+                         "strictly decreasing")
         lo, hi = args.x_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             parser.error("--x-range must be finite with lo < hi")

@@ -5,12 +5,13 @@ each piece, so the stacked solves are one Taylor march whose steps and
 order are fixed in advance: ``taylor_endpoints`` gives the real
 zero-energy endpoint (psi(M), psi'(M)) of a stack of couplings, and
 ``solve_uv`` the dense, possibly complex, interior basis (u, v) of every
-resolvent kernel, whose dense output is the march's kept step series.
-``march`` is the one adaptive integrator: DOP853, restarting at every
-breakpoint of V so that coefficient discontinuities never sit inside a
-step, and reading each inner piece's right-hand side just below its upper
-end.  It keeps only the certifying gate shot and ``solve_psi``, and a
-dense march is read through scipy's ``OdeSolution`` of each piece.
+resolvent kernel and the profile psi of a certified hit (u at eps = 1),
+whose dense output is the march's kept step series.  ``march`` is the
+one adaptive integrator: DOP853, restarting at every breakpoint of V so
+that coefficient discontinuities never sit inside a step, and reading each
+inner piece's right-hand side just below its upper end.  It runs the
+certifying gate shot, endpoint only, and ``solve_psi``, the one dense
+march, read through scipy's ``OdeSolution`` of each piece.
 Small-range solves at scale eps are always routed through the rescaling
 u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps), which keeps the integrated
 problem O(1) in the regime |lambda| = O(eps^-2).  Along a critical schedule

@@ -28,8 +28,8 @@ def panel_edges(a: float, b: float, breakpoints=(),
         raise ValueError(f"max_panel must be positive, got {max_panel}")
     if b <= a:
         return np.empty(0)
-    cuts = np.array(sorted({a, b, *(p for p in breakpoints if a < p < b)}),
-                    dtype=float)
+    p = np.asarray(breakpoints, dtype=float).ravel()
+    cuts = np.unique(np.concatenate(([a, b], p[(a < p) & (p < b)])))
     lo, width = cuts[:-1], np.diff(cuts)
     parts = (np.ones(lo.size, dtype=int) if max_panel is None
              else np.maximum(1, np.ceil(width / max_panel).astype(int)))

@@ -103,7 +103,7 @@ def _scaled_basis(k: KernelEval, s: np.ndarray, t: np.ndarray):
 
     Outside, g1 = a + b*e^{-2*kappa*y} and g2 = 1; inside [0, x_m),
     g1 = u*e^{-kappa*y} and g2 = (c*v + d*u)*e^{kappa*y}.  u is read once,
-    on the inner s and t together, and v once, on the inner t.
+    on the inner s and t (s alone if s is t), and v once, on the inner t.
     """
     kappa = k.kappa
     g1 = k.a + k.b * np.exp(-2.0 * kappa * s)
@@ -111,10 +111,10 @@ def _scaled_basis(k: KernelEval, s: np.ndarray, t: np.ndarray):
     s_in, t_in = s < k.x_m, t < k.x_m
     if np.any(s_in) or np.any(t_in):
         si, ti = s[s_in], t[t_in]
-        u = k.u(np.concatenate((si, ti)))[0]
+        u = k.u(si if s is t else np.concatenate((si, ti)))[0]
         g1[s_in] = u[:si.size] * np.exp(-kappa * si)
         if ti.size:
-            g2[t_in] = (k.c * k.v(ti)[0] + k.d * u[si.size:]) \
+            g2[t_in] = (k.c * k.v(ti)[0] + k.d * u[-ti.size:]) \
                 * np.exp(kappa * ti)
     return g1, g2
 
@@ -203,7 +203,7 @@ def apply_resolvent(k: KernelEval, f, x_points, f_breakpoints=(),
         raise ValueError("x_points must be nonnegative")
     kappa = k.kappa
     edges = quadrature.panel_edges(
-        0.0, y_max, (*k.kinks, k.x_m, *f_breakpoints, *xs[xs < y_max]),
+        0.0, y_max, np.concatenate((k.kinks, [k.x_m], f_breakpoints, xs)),
         min(max_panel, DECAY_PANEL / kappa.real))
     nodes, weights = quadrature.gauss_nodes(edges, n, panel_budget)
     g1, g2 = _scaled_basis(k, nodes, nodes)

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import BracketScanTooCoarse, DegenerateProfile
-from .ode import DEFAULT_TOL, Trajectory, march, solve_psi, taylor_endpoints
+from .ode import (DEFAULT_TOL, CauchyState, march, solve_psi, solve_uv,
+                  taylor_endpoints)
 from .potential import Potential
 
 __all__ = [
@@ -36,6 +37,22 @@ CERTIFY_ROUNDS = 4      # node transfers per root before a bracket is too coarse
 _EPS = 4 * np.finfo(float).eps     # brentq's smallest rtol
 
 
+class _Profile:
+    """psi at a certified theta on [0, M], with Trajectory's interface: u of
+    ``solve_uv(V, theta, 1, 0, tol)``, the one-coupling dense Taylor march,
+    made on the first read and kept.  ``endpoint`` is the gate shot's."""
+
+    def __init__(self, V: Potential, theta: float, tol: float, end):
+        self._basis, self._u = (V, theta, 1.0, 0.0, tol), None
+        self.x_end = V.support_end
+        self.endpoint = CauchyState(self.x_end, *end)
+
+    def __call__(self, x):
+        if self._u is None:
+            self._u = solve_uv(*self._basis)[0]
+        return self._u(x)
+
+
 @dataclass(frozen=True)
 class ResonanceHit:
     """A certified resonant coupling with its profile data."""
@@ -47,7 +64,7 @@ class ResonanceHit:
     integral_I: float               # int_0^M V psi^2
     dpsi_sq_integral: float         # int_0^M (psi')^2
     dG_dtheta: float                # sensitivity of psi'(M) to theta
-    trajectory: Trajectory = field(repr=False, compare=False)
+    trajectory: _Profile = field(repr=False, compare=False)  # marched on read
 
 
 @dataclass(frozen=True)
@@ -89,18 +106,16 @@ def _nodes(a: float, b: float) -> np.ndarray:
 
 
 def _shoot_profile(V: Potential, theta: float, tol: float):
-    """Dense zero-energy shot at theta that also marches I' = V psi^2 and
+    """Zero-energy DOP853 shot at theta that also marches I' = V psi^2 and
     J' = (psi')^2 from 0, under the same error control as psi.  Returns the
-    trajectory of (psi, psi') and the end state [psi(M), psi'(M), I, J]."""
+    end state [psi(M), psi'(M), I, J]; no dense interpolant is built."""
 
     def rhs(x, y):
         psi, dpsi, _, _ = y.tolist()
         v = V(x)
         return [dpsi, theta * v * psi, v * psi * psi, dpsi * dpsi]
 
-    pieces, y_end = march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol,
-                          dense=True)
-    return Trajectory(pieces, y_end), y_end.tolist()
+    return march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol)[1].tolist()
 
 
 def _certify(V: Potential, a: float, b: float, root_tol: float,
@@ -113,12 +128,12 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
     couplings already evaluated to their psi'(M), and those are not shot
     again.  In each sub-interval between adjacent points whose values change
     sign, Brent's method finds the root of the Chebyshev interpolant, and one
-    scalar dense shot there, which also marches the profile integrals (and
-    so dG/dtheta = I/psi(M)), is gated on |psi'(M)| <= root_tol*|dG/dtheta|*
-    (1+|theta|).  A hit keeps that shot's trajectory.  If the gate fails,
-    the shot's sign picks the half of the sub-interval that holds the root,
-    and the next round shoots that half; after CERTIFY_ROUNDS rounds the
-    bracket is reported as too coarse."""
+    scalar endpoint shot there, which also marches the profile integrals
+    (and so dG/dtheta = I/psi(M)), is gated on |psi'(M)| <= root_tol*
+    |dG/dtheta|*(1+|theta|).  A hit keeps psi as a ``_Profile``, marched
+    when read.  If the gate fails, the shot's sign picks the half of the
+    sub-interval that holds the root, and the next round shoots that half;
+    after CERTIFY_ROUNDS rounds the bracket is reported as too coarse."""
     known = dict(known or {})
     hits = []
     rounds = [(a, b, 1)]
@@ -144,8 +159,7 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
             theta = brentq(lambda x: ends[x] if x in ends else cheb(x),
                            t[j], t[j + 1], rtol=_EPS,
                            xtol=_EPS * (abs(t[j]) + abs(t[j + 1])))
-            traj, (psi_m, slope, integral, slope_sq) = _shoot_profile(
-                V, theta, tol)
+            psi_m, slope, integral, slope_sq = _shoot_profile(V, theta, tol)
             if abs(psi_m) <= 1e-8 * (1.0 + abs(theta)):
                 raise DegenerateProfile(
                     f"profile vanishes at the support edge for theta={theta}")
@@ -160,7 +174,7 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
                     integral_I=integral,
                     dpsi_sq_integral=slope_sq,
                     dG_dtheta=dG,
-                    trajectory=traj,
+                    trajectory=_Profile(V, theta, tol, (psi_m, slope)),
                 ))
             elif k < CERTIFY_ROUNDS:
                 known[theta] = slope
@@ -184,7 +198,7 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
     A stacked grid scan with ``grid_cells`` cells finds the cells where
     psi'(M) changes sign.  Each such cell is certified by ``_certify``: one
     stacked Taylor transfer of its Chebyshev points, Brent's method on their
-    interpolant and one scalar dense shot per root, so a cell that holds an
+    interpolant and one scalar endpoint shot per root, so a cell that holds an
     odd number of roots gives all of them (an even number shows no sign
     change and is not seen).  Hits are returned ordered by |theta| (the
     physically first resonances come first for a negative range).  With
@@ -247,7 +261,7 @@ def resonance_membership(V: Potential, theta: float, tol: float = 1e-6,
     decides membership).  The ends of all the brackets and the Chebyshev
     points of the innermost one are shot in one stacked Taylor transfer at
     ``ode_tol``, and ``_certify`` reads them from there: a resonance in the
-    innermost bracket costs that transfer and one scalar dense shot."""
+    innermost bracket costs that transfer and one scalar endpoint shot."""
     half = tol * (1.0 + abs(theta))
     brackets = [(theta - w * half, theta + w * half) for w in (1.0, 4.0, 16.0)]
     thetas = np.concatenate([np.ravel(brackets), _nodes(*brackets[0])])

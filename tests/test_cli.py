@@ -98,6 +98,17 @@ def test_converge_degenerate_grid_is_usage_error(capsys, option, value):
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["1e-1,nan", "nan", "inf,1e-1", "1e-1,-inf"])
+def test_converge_nonfinite_eps_is_usage_error(capsys, eps):
+    # nan <= 0 is false, so a bare sign check let nan through to a
+    # ValueError from convergence_study (exit 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["converge", "--potential", "square", "--theta", "-1",
+                 "--omega", "1", "--z", "0,1", "--eps", eps])
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+
+
 def test_airy_table_csv(tmp_path):
     out = tmp_path / "airy.csv"
     run_ok(["airy-table", "--x-range", "-2:2", "--count", "5",

@@ -90,7 +90,8 @@ def test_edges_equal_the_linspace_loop():
             cuts += [a, b, cuts[0] if cuts else a]
         max_panel = (None if rng.random() < 0.2
                      else abs(b - a) * 10.0 ** rng.uniform(-3.0, 0.5))
-        got = quadrature.panel_edges(a, b, cuts, max_panel)
+        got = quadrature.panel_edges(
+            a, b, np.array(cuts) if rng.random() < 0.5 else cuts, max_panel)
         want = _edges_by_linspace(a, b, cuts, max_panel)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

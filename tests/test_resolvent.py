@@ -479,6 +479,30 @@ def test_apply_resolvent_reads_basis_once_per_point_set(monkeypatch,
     assert counts[0] == counts[1] > 0
 
 
+def test_apply_resolvent_reads_u_once_per_inner_point(small_kernel):
+    # s and t are the same points there, so u is read once on each inner
+    # node and each inner x, and the values are those of the two-set read
+    kern = small_kernel
+    seen = []
+
+    def record_u(t):
+        seen.append(np.array(t, dtype=float))
+        return kern.u(t)
+
+    def f(y):
+        return np.exp(-y)
+
+    xs = np.linspace(0.0, 3.0, 40)
+    got = resolvent.apply_resolvent(dataclasses.replace(kern, u=record_u), f,
+                                    xs, y_max=3.5)
+    assert np.array_equal(got, resolvent.apply_resolvent(kern, f, xs,
+                                                         y_max=3.5))
+    points = np.concatenate(seen)
+    assert len(seen) == 2 and np.all(points < kern.x_m)
+    assert np.unique(points).size == points.size
+    assert np.array_equal(seen[1], xs[xs < kern.x_m])
+
+
 def test_kinks_are_scaled_inner_breakpoints():
     kern = resolvent.kernel_scaled(_two_piece(), -2467.4, 0.01, -400 + 1j)
     assert kern.kinks == pytest.approx((0.004,), rel=1e-15)

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from deltalim import airy, ode, potential, quadrature, resonance
+from deltalim import airy, ode, potential, quadrature, radial3d, resonance
 from deltalim.errors import BracketScanTooCoarse, NonConvergence
 from deltalim.resonance import LimitDescriptor, ScalingLaw
 
@@ -243,25 +243,78 @@ def test_scan_integrates_no_coupling_twice(count_calls):
 
 def test_certify_keeps_only_the_hits_trajectories(monkeypatch):
     # with the cyclic collector off, a shot left in a reference cycle would
-    # outlive the call: every shot is a hit's, and only the hits keep theirs
-    refs = []
-    shoot = resonance._shoot_profile
+    # outlive the call: no DOP853 result of a gate shot stays alive, every
+    # profile view is a hit's, and only the hits keep theirs
+    views, results = [], []
+    make, solve = resonance._Profile, ode.solve_ivp
 
-    def tracked(*args, **kwargs):
-        out = shoot(*args, **kwargs)
-        refs.append(weakref.ref(out[0]))
+    def tracked_view(*args):
+        view = make(*args)
+        views.append(weakref.ref(view))
+        return view
+
+    def tracked_solve(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        results.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(resonance, "_shoot_profile", tracked)
+    monkeypatch.setattr(resonance, "_Profile", tracked_view)
+    monkeypatch.setattr(ode, "solve_ivp", tracked_solve)
     gc.collect()
     gc.disable()
     try:
         hits = resonance.find_resonances(potential.square(), (-500.0, -0.5))
-        alive = {id(r()) for r in refs if r() is not None}
+        alive = {id(r()) for r in views if r() is not None}
+        leaked = [r for r in results if r() is not None]
     finally:
         gc.enable()
-    assert len(hits) == 7 and len(refs) == len(hits)
+    assert len(hits) == 7 and len(views) == len(hits)
     assert alive == {id(h.trajectory) for h in hits}
+    assert len(results) >= len(hits) and not leaked
+
+
+@pytest.mark.parametrize("xi", [0.3, 0.7, 1.1])
+def test_hit_profiles_match_the_airy_closed_form(xi):
+    # a hit's profile is the one-coupling Taylor march of psi, near machine
+    # precision (the DOP853 interpolant it replaced was 2.1e-12 off here)
+    V = potential.linear(xi)
+    hits = resonance.find_resonances(V, (-400.0, -1.0))
+    assert len(hits) == len(airy.find_linear_resonances(xi, (-400.0, -1.0)))
+    xs = np.linspace(0.0, 1.0, 101)
+    for h in hits:
+        want = np.array([airy.psi_linear_closed(xi, h.theta, x)[0] for x in xs])
+        got = np.real(h.trajectory(xs)[0])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_no_dense_dop853_march(monkeypatch):
+    dense, march = [], ode.march
+
+    def recording(*args, **kwargs):
+        dense.append(kwargs.get("dense", args[4] if len(args) > 4 else False))
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "march", recording)
+    monkeypatch.setattr(resonance, "march", recording)
+    theta0 = -np.pi ** 2 / 4
+    assert resonance.find_resonances(potential.linear(0.7), (-200.0, -1.0))
+    assert resonance.resonance_membership(potential.square(), theta0 + 1e-8)
+    assert radial3d.classify_3d(potential.square(), theta0, 1.0).profile_Psi
+    assert dense and not any(dense)
+
+
+def test_profile_marches_on_first_read_only(count_calls):
+    marches = count_calls(resonance, "solve_uv")
+    [hit] = resonance.find_resonances(potential.square(), (-5.0, -1.0))
+    end = hit.trajectory.endpoint
+    assert not marches
+    assert (end.x, end.value, abs(end.derivative)) == (1.0, hit.psi_at_M,
+                                                       hit.residual)
+    val = hit.trajectory(1.0)[0]
+    assert len(marches) == 1 and marches[0][1:4] == (hit.theta, 1.0, 0.0)
+    assert val == pytest.approx(hit.psi_at_M, rel=1e-12)
+    assert hit.trajectory(np.array([0.5, 1.0]))[0][1] == val
+    assert len(marches) == 1
 
 
 def test_max_hits_certifies_only_what_it_returns(count_calls):
