@@ -551,6 +551,8 @@ def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
     lo, hi = map(float, theta_range)
     if not lo < hi:
         raise ValueError("empty theta range")
+    if grid_cells < 1:
+        raise ValueError(f"grid_cells must be at least 1, got {grid_cells}")
     if max_hits is not None and max_hits < 0:
         raise ValueError(f"max_hits must not be negative, got {max_hits}")
     grid = np.linspace(lo, hi, grid_cells + 1)

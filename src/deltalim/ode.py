@@ -3,15 +3,15 @@
 Solves -psi'' + (theta*V - gamma*z)*psi = 0 on [0, M].  V is a cubic on
 each piece, so the stacked solves are one Taylor march whose steps and
 order are fixed in advance: ``taylor_endpoints`` gives the real
-zero-energy endpoint (psi(M), psi'(M)) of a stack of couplings, and
-``solve_uv`` the dense, possibly complex, interior basis (u, v) of every
-resolvent kernel and the profile psi of a certified hit (u at eps = 1),
-whose dense output is the march's kept step series.  ``march`` is the
-one adaptive integrator: DOP853, restarting at every breakpoint of V so
-that coefficient discontinuities never sit inside a step, and reading each
-inner piece's right-hand side just below its upper end.  It runs the
-certifying gate shot, endpoint only, and ``solve_psi``, the one dense
-march, read through scipy's ``OdeSolution`` of each piece.
+zero-energy endpoint (psi(M), psi'(M)) of a stack of couplings.  Every
+dense solution is a ``Trajectory``, a reader of the march's kept step
+series: the interior basis (u, v) of every resolvent kernel
+(``solve_uv``), and psi alone, made on its first read, for the profile of
+a certified hit and the reads of ``solve_psi``.  ``march`` is the one
+adaptive integrator: DOP853, endpoint only, restarting at every breakpoint
+of V so that coefficient discontinuities never sit inside a step, and
+reading each inner piece's right-hand side just below its upper end.  It
+runs the certifying gate shot and the endpoint shot of ``solve_psi``.
 Small-range solves at scale eps are always routed through the rescaling
 u(x) = eps * psi_{eps^2*lambda, eps^2}(x / eps), which keeps the integrated
 problem O(1) in the regime |lambda| = O(eps^-2).  Along a critical schedule
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -53,48 +54,47 @@ class CauchyState:
 
 
 class Trajectory:
-    """Dense solution of a second-order Cauchy problem on [0, x_end]: rows
-    (row, row + 1) of the marched state, read as (value, derivative).
+    """Dense solution of a second-order Cauchy problem on [0, x_end], with
+    its endpoint y_end = (value, derivative): a Taylor step series.
 
-    ``pieces`` is (cuts, solutions) of a dense ``march``: the breakpoints of
-    V and scipy's DOP853 ``OdeSolution`` of each piece between them.  A read
-    picks each point's piece with side="right", clipped (a breakpoint belongs
-    to the piece it starts), and evaluates that piece's ``OdeSolution``."""
+    ``make()`` returns the step starts, the step lengths and the
+    coefficients, shape (steps, 2, p+1), of (value, slope) on each step; it
+    runs on the first read or ``starts`` access, and its result is kept.  A
+    read picks each point's step with side="right" (a step start, and so a
+    breakpoint, belongs to the step it starts) and sums that step's series
+    at s = (x - x_i)/h."""
 
-    def __init__(self, pieces, y_end, row: int = 0):
-        cuts, self._sols = pieces
-        self._cuts = np.asarray(cuts, dtype=float)
-        self._rows = slice(row, row + 2)
-        self._y_end = y_end[self._rows]    # (value, derivative) at x_end
+    def __init__(self, make, y_end, x_end: float):
+        self._make = make
+        self.x_end = float(x_end)
+        self.endpoint = CauchyState(self.x_end, y_end[0], y_end[1])
+
+    @cached_property
+    def _series(self):
+        return self._make()
 
     @property
-    def x_end(self) -> float:
-        return float(self._cuts[-1])
-
-    @property
-    def endpoint(self) -> CauchyState:
-        return CauchyState(self.x_end, self._y_end[0], self._y_end[1])
+    def starts(self):
+        return self._series[0]
 
     def __call__(self, x):
-        """Return (value, derivative) at x (scalar or array) via the
-        integrator's dense interpolant."""
+        """Return (value, derivative) at x (scalar or array)."""
+        starts, lengths, coeffs = self._series
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        piece = np.clip(np.searchsorted(self._cuts, xs, side="right") - 1,
-                        0, len(self._sols) - 1)
-        out = np.empty((2, xs.size), dtype=self._y_end.dtype)
-        for p in np.unique(piece).tolist():
-            sel = piece == p
-            out[:, sel] = self._sols[p](xs[sel])[self._rows]
+        i = np.maximum(np.searchsorted(starts, xs, side="right") - 1, 0)
+        s = (xs - starts[i]) / lengths[i]
+        out = np.einsum("nrk,nk->rn", coeffs[i],
+                        np.vander(s, coeffs.shape[2], increasing=True))
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return out[0, 0], out[1, 0]
         return out[0], out[1]
 
 
 class ScaledTrajectory:
-    """View of a [0, M] trajectory (a ``Trajectory`` or one solution of the
-    Taylor basis) rescaled to [0, eps*M]: value factor*base(x/eps),
-    derivative base'(x/eps)/divisor.  The interior solution u takes
-    (factor, divisor) = (eps, 1), its companion v takes (1, eps)."""
+    """View of a [0, M] ``Trajectory`` rescaled to [0, eps*M]: value
+    factor*base(x/eps), derivative base'(x/eps)/divisor.  The interior
+    solution u takes (factor, divisor) = (eps, 1), its companion v takes
+    (1, eps)."""
 
     def __init__(self, base, eps: float, factor: float, divisor: float):
         self.base = base
@@ -117,20 +117,17 @@ class ScaledTrajectory:
         return self.factor * v, d / self.divisor
 
 
-def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
-    """Integrate y' = rhs(x, y) from 0 to the support edge of V, restarting
-    at every breakpoint.  Returns the pieces of a ``Trajectory`` (the
-    breakpoints and the ``OdeSolution`` of each piece; None unless
-    ``dense``) and the state at the edge.
+def march(V: Potential, rhs, y0, tol: float):
+    """Integrate y' = rhs(x, y) with DOP853 from 0 to the support edge of V,
+    restarting at every breakpoint, and return the state at the edge.
 
     DOP853's last stage of a piece's last step sits at its upper end hi,
     which V gives to the next piece; an inner piece reads rhs at the float
     just below hi instead, so that a jump of V does not make the error
     control reject and shrink the steps before it."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     cuts = V.breakpoints
-    pieces = []
     y = y0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         f = rhs
@@ -138,13 +135,11 @@ def march(V: Potential, rhs, y0, tol: float, dense: bool = False):
             def f(x, y, top=math.nextafter(hi, lo)):
                 return rhs(min(x, top), y)
         sol = solve_ivp(f, (lo, hi), y, method="DOP853",
-                        rtol=tol, atol=tol * 1e-3, dense_output=dense)
+                        rtol=tol, atol=tol * 1e-3)
         if not sol.success or not np.all(np.isfinite(sol.y)):
             raise NonConvergence(f"integration failed on [{lo}, {hi}]: {sol.message}")
-        if dense:
-            pieces.append(sol.sol)
         y = sol.y[:, -1].copy()
-    return ((cuts, pieces) if dense else None), y
+    return y
 
 
 _TAYLOR_RHO = 3.0        # kappa*h of a Taylor step: about half a local wavelength
@@ -322,26 +317,25 @@ def _energy_and_state(gamma, z, y0):
 
 def solve_psi(V: Potential, theta: float, gamma: float = 0.0, z=0.0,
               tol: float = DEFAULT_TOL) -> Trajectory:
-    """Solution of -psi'' + (theta*V - gamma*z)*psi = 0, psi(0)=0, psi'(0)=1."""
+    """Solution of -psi'' + (theta*V - gamma*z)*psi = 0, psi(0)=0, psi'(0)=1.
+
+    Its endpoint is one DOP853 ``march``; its dense reads are the Taylor
+    series of psi alone (``_psi_trajectory``), made on the first read."""
     gz, y0 = _energy_and_state(gamma, z, (0.0, 1.0))
 
     def rhs(x, y):
         return [y[1], (theta * V(x) - gz) * y[0]]
 
-    return Trajectory(*march(V, rhs, y0, tol, dense=True))
+    return _psi_trajectory(V, theta, gz, march(V, rhs, y0, tol), tol)
 
 
 def _taylor_basis(V: Potential, theta, gz, y, tol: float):
-    """Dense ``_taylor_march`` of psi'' = (theta_k*V - gz_k)*psi for a stack
-    of couplings and two solutions of each, from the state y at 0 of shape
-    (2, 2, couplings): (value, slope) x (solution, coupling).
-
-    The steps are counted from the largest |theta| plus the largest |gz|,
-    and one transfer per step and coupling carries both solutions.  Lays the
-    march's series out for ``_TaylorTrajectory``: returns the step starts,
-    the step lengths, the coefficients, shape (2*couplings, steps, 2, p+1),
-    of (value, slope) of each solution, and the state at M, shape
-    (2*couplings, 2)."""
+    """Dense ``_taylor_march`` of psi'' = (theta_k*V - gz_k)*psi from the
+    state y at 0, shape (2, solutions, couplings), on steps counted from the
+    largest |theta| plus the largest |gz|.  Returns each solution's series
+    as ``Trajectory`` reads it, coupling by coupling: (step starts, step
+    lengths, coefficients of (value, slope), shape (steps, 2, p+1)); and the
+    states at M, shape (couplings*solutions, 2)."""
     (starts, lengths, a), y = _taylor_march(V, theta, y, tol, gz, dense=True)
     slope = np.zeros_like(a)
     slope[:-1] = (np.arange(1, a.shape[0])[:, None, None, None] * a[1:]
@@ -349,42 +343,19 @@ def _taylor_basis(V: Potential, theta, gz, y, tol: float):
     # (value/slope, term, step, solution, coupling) ->
     # (coupling, solution, step, value/slope, term), one block per solution
     table = np.stack([a, slope]).transpose(4, 3, 2, 0, 1)
-    return (starts, lengths,
-            np.ascontiguousarray(table.reshape(-1, *table.shape[2:])),
+    table = np.ascontiguousarray(table.reshape(-1, *table.shape[2:]))
+    return ([(starts, lengths, c) for c in table],
             y.transpose(2, 1, 0).reshape(-1, 2))
 
 
-class _TaylorTrajectory:
-    """One solution of a dense ``_taylor_basis`` on [0, x_end], with
-    Trajectory's interface.  A read picks each point's step with
-    side="right" (a step start, breakpoints among them, belongs to the step
-    it starts) and sums that step's series at s = (x - x_i)/h."""
-
-    def __init__(self, starts, lengths, coeffs, y_end, x_end: float):
-        self.starts = starts        # shared by every solution of the basis
-        self._lengths = lengths
-        self._coeffs = coeffs       # (steps, 2, p+1): (value, slope) terms
-        self._y_end = y_end
-        self._x_end = float(x_end)
-
-    @property
-    def x_end(self) -> float:
-        return self._x_end
-
-    @property
-    def endpoint(self) -> CauchyState:
-        return CauchyState(self._x_end, self._y_end[0], self._y_end[1])
-
-    def __call__(self, x):
-        """Return (value, derivative) at x (scalar or array)."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        i = np.maximum(np.searchsorted(self.starts, xs, side="right") - 1, 0)
-        s = (xs - self.starts[i]) / self._lengths[i]
-        out = np.einsum("nrk,nk->rn", self._coeffs[i],
-                        np.vander(s, self._coeffs.shape[2], increasing=True))
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return out[0, 0], out[1, 0]
-        return out[0], out[1]
+def _psi_trajectory(V: Potential, theta: float, gz, y_end, tol: float):
+    """psi of psi'' = (theta*V - gz)*psi, psi(0)=0, psi'(0)=1, with the
+    endpoint y_end that the caller shot.  Its series is the one-coupling
+    ``_taylor_basis`` of psi alone, made on the first read."""
+    y = np.array([[[0.0]], [[1.0]]], dtype=np.result_type(gz, 0.0))
+    return Trajectory(lambda: _taylor_basis(V, np.array([theta], dtype=float),
+                                            gz, y, tol)[0][0],
+                      y_end, V.support_end)
 
 
 def solve_uv(V: Potential, lam, eps, z, tol: float = DEFAULT_TOL):
@@ -408,10 +379,10 @@ def solve_uv(V: Potential, lam, eps, z, tol: float = DEFAULT_TOL):
     epss = np.atleast_1d(epss)
     gz, y0 = _energy_and_state(epss * epss, z, np.multiply.outer(
         [[0.0, 1.0], [1.0, 0.0]], np.ones(epss.size)))
-    starts, lengths, coeffs, ends = _taylor_basis(
-        V, epss * epss * np.atleast_1d(lams), gz, y0, tol)
-    views = [_TaylorTrajectory(starts, lengths, c, y, V.support_end)
-             for c, y in zip(coeffs, ends)]
+    series, ends = _taylor_basis(V, epss * epss * np.atleast_1d(lams), gz,
+                                 y0, tol)
+    views = [Trajectory(lambda s=s: s, y, V.support_end)
+             for s, y in zip(series, ends)]
     bases = [(ScaledTrajectory(views[2 * k], e, e, 1.0),
               ScaledTrajectory(views[2 * k + 1], e, 1.0, e))
              for k, e in enumerate(epss.tolist())]

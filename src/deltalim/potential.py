@@ -41,6 +41,11 @@ class Potential:
             raise ValueError("need one coefficient row per interval")
         if any(len(c) != 4 for c in self.coeffs):
             raise ValueError("each piece takes exactly 4 coefficients")
+        for name, values in (("breakpoint", bp),
+                             ("coefficient", np.ravel(self.coeffs))):
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise ValueError(f"{name} {bad[0]} is not finite")
 
     @property
     def support_end(self) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import BracketScanTooCoarse, DegenerateProfile
-from .ode import (DEFAULT_TOL, CauchyState, march, solve_psi, solve_uv,
+from .ode import (DEFAULT_TOL, Trajectory, _psi_trajectory, march, solve_psi,
                   taylor_endpoints)
 from .potential import Potential
 
@@ -37,22 +37,6 @@ CERTIFY_ROUNDS = 4      # node transfers per root before a bracket is too coarse
 _EPS = 4 * np.finfo(float).eps     # brentq's smallest rtol
 
 
-class _Profile:
-    """psi at a certified theta on [0, M], with Trajectory's interface: u of
-    ``solve_uv(V, theta, 1, 0, tol)``, the one-coupling dense Taylor march,
-    made on the first read and kept.  ``endpoint`` is the gate shot's."""
-
-    def __init__(self, V: Potential, theta: float, tol: float, end):
-        self._basis, self._u = (V, theta, 1.0, 0.0, tol), None
-        self.x_end = V.support_end
-        self.endpoint = CauchyState(self.x_end, *end)
-
-    def __call__(self, x):
-        if self._u is None:
-            self._u = solve_uv(*self._basis)[0]
-        return self._u(x)
-
-
 @dataclass(frozen=True)
 class ResonanceHit:
     """A certified resonant coupling with its profile data."""
@@ -64,7 +48,7 @@ class ResonanceHit:
     integral_I: float               # int_0^M V psi^2
     dpsi_sq_integral: float         # int_0^M (psi')^2
     dG_dtheta: float                # sensitivity of psi'(M) to theta
-    trajectory: _Profile = field(repr=False, compare=False)  # marched on read
+    trajectory: Trajectory = field(repr=False, compare=False)  # made on read
 
 
 @dataclass(frozen=True)
@@ -108,14 +92,14 @@ def _nodes(a: float, b: float) -> np.ndarray:
 def _shoot_profile(V: Potential, theta: float, tol: float):
     """Zero-energy DOP853 shot at theta that also marches I' = V psi^2 and
     J' = (psi')^2 from 0, under the same error control as psi.  Returns the
-    end state [psi(M), psi'(M), I, J]; no dense interpolant is built."""
+    end state [psi(M), psi'(M), I, J]."""
 
     def rhs(x, y):
         psi, dpsi, _, _ = y.tolist()
         v = V(x)
         return [dpsi, theta * v * psi, v * psi * psi, dpsi * dpsi]
 
-    return march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol)[1].tolist()
+    return march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol).tolist()
 
 
 def _certify(V: Potential, a: float, b: float, root_tol: float,
@@ -130,10 +114,11 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
     sign, Brent's method finds the root of the Chebyshev interpolant, and one
     scalar endpoint shot there, which also marches the profile integrals
     (and so dG/dtheta = I/psi(M)), is gated on |psi'(M)| <= root_tol*
-    |dG/dtheta|*(1+|theta|).  A hit keeps psi as a ``_Profile``, marched
-    when read.  If the gate fails, the shot's sign picks the half of the
-    sub-interval that holds the root, and the next round shoots that half;
-    after CERTIFY_ROUNDS rounds the bracket is reported as too coarse."""
+    |dG/dtheta|*(1+|theta|).  A hit keeps psi as a ``Trajectory`` whose
+    Taylor series is made on its first read.  If the gate fails, the shot's
+    sign picks the half of the sub-interval that holds the root, and the
+    next round shoots that half; after CERTIFY_ROUNDS rounds the bracket is
+    reported as too coarse."""
     known = dict(known or {})
     hits = []
     rounds = [(a, b, 1)]
@@ -174,7 +159,8 @@ def _certify(V: Potential, a: float, b: float, root_tol: float,
                     integral_I=integral,
                     dpsi_sq_integral=slope_sq,
                     dG_dtheta=dG,
-                    trajectory=_Profile(V, theta, tol, (psi_m, slope)),
+                    trajectory=_psi_trajectory(V, theta, 0.0, (psi_m, slope),
+                                               tol),
                 ))
             elif k < CERTIFY_ROUNDS:
                 known[theta] = slope
@@ -209,6 +195,8 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
         raise ValueError("empty theta range")
     if grid_cells < 1:
         raise ValueError(f"grid_cells must be at least 1, got {grid_cells}")
+    if not 0.0 < root_tol < np.inf:
+        raise ValueError(f"root_tol must be positive and finite, got {root_tol}")
     if max_hits is not None and max_hits < 0:
         raise ValueError(f"max_hits must not be negative, got {max_hits}")
     grid = np.linspace(lo, hi, grid_cells + 1)
@@ -262,6 +250,8 @@ def resonance_membership(V: Potential, theta: float, tol: float = 1e-6,
     points of the innermost one are shot in one stacked Taylor transfer at
     ``ode_tol``, and ``_certify`` reads them from there: a resonance in the
     innermost bracket costs that transfer and one scalar endpoint shot."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     half = tol * (1.0 + abs(theta))
     brackets = [(theta - w * half, theta + w * half) for w in (1.0, 4.0, 16.0)]
     thetas = np.concatenate([np.ravel(brackets), _nodes(*brackets[0])])

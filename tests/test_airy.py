@@ -314,6 +314,13 @@ def test_max_hits_rejects_a_negative_count():
         airy.find_linear_resonances(0.7, (-80.0, -0.5), max_hits=-1)
 
 
+@pytest.mark.parametrize("cells", [0, -3])
+def test_grid_cells_must_be_positive(cells):
+    # as in find_resonances: no grid cell would return [] unasked
+    with pytest.raises(ValueError, match="grid_cells must be at least 1"):
+        airy.find_linear_resonances(0.7, (-80.0, -0.5), grid_cells=cells)
+
+
 def test_deep_window_scans_without_overflow():
     # at s near -99, w near 99 the residuals pass 1e154, so the product of
     # two grid values would overflow.  Bi'(w) > 0 dominates there, so the

@@ -176,6 +176,20 @@ def test_malformed_potential_spec_is_domain_error(tmp_path, capsys, spec):
     assert err.startswith("ValueError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, bad", [
+    ('"coeffs": [[1.0, Infinity, 0.0, 0.0]], "breakpoints": [0.0, 1.0]',
+     "coefficient inf"),
+    ('"coeffs": [[1, 0, 0, 0], [1, 0, 0, 0]], "breakpoints": [0.0, NaN, 1.0]',
+     "breakpoint nan")], ids=["inf_coefficient", "nan_breakpoint"])
+def test_non_finite_potential_file_is_domain_error(tmp_path, capsys, text, bad):
+    pot = tmp_path / "pot.json"
+    pot.write_text('{"kind": "piecewise", ' + text + "}")
+    assert cli.run(["resonances", "--potential", str(pot),
+                    "--theta-range", "-50:-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"ValueError: {bad} is not finite\n"
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("--grid-cells", "0", "grid_cells"), ("--grid-cells", "-3", "grid_cells"),
     ("--max", "-2", "max_hits")])

@@ -2,11 +2,37 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution, solve_ivp
-from scipy.integrate._ivp.rk import Dop853DenseOutput
+from scipy.integrate import solve_ivp
 
 from deltalim import airy, ode, potential
 from deltalim.errors import NonConvergence
+
+
+def _dop853(V, rhs, y0, tol):
+    """Independent dense oracle: scipy's DOP853 with its own dense output on
+    each piece of V.  Returns read(x), the state rows at the points x (a
+    breakpoint belongs to the piece it starts), and the state at M."""
+    cuts = np.asarray(V.breakpoints, dtype=float)
+    sols, y = [], np.asarray(y0)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=tol,
+                        atol=tol * 1e-3, dense_output=True)
+        assert sol.success
+        sols.append(sol.sol)
+        y = sol.y[:, -1]
+
+    def read(x):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        piece = np.clip(np.searchsorted(cuts, xs, side="right") - 1,
+                        0, len(sols) - 1)
+        out = np.empty((y.size, xs.size), dtype=y.dtype)
+        for p, sol in enumerate(sols):
+            sel = piece == p
+            if np.any(sel):
+                out[:, sel] = sol(xs[sel])
+        return out
+
+    return read, y
 
 
 def test_square_well_closed_form():
@@ -19,6 +45,26 @@ def test_square_well_closed_form():
     assert np.allclose(ders, np.cos(np.pi * xs / 2), atol=1e-11)
     assert traj.endpoint.value == pytest.approx(2 / np.pi, abs=1e-11)
     assert traj.endpoint.derivative == pytest.approx(0.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("theta, gz", [(-np.pi ** 2 / 4, 0.0),
+                                       (-3.0, 0.5 + 1.0j)],
+                         ids=["resonant", "complex"])
+def test_solve_psi_reads_the_taylor_series(theta, gz):
+    # psi = sin(k x)/k, k^2 = gz - theta: the reads are the Taylor series of
+    # psi alone, near machine precision at the default tol, and the
+    # endpoint is the DOP853 shot's, within that tol
+    traj = ode.solve_psi(potential.square(), theta, 1.0, gz)
+    k = np.sqrt(complex(gz - theta))
+    xs = np.linspace(0.0, 1.0, 41)
+    val, der = traj(xs)
+    assert val.dtype == (complex if np.imag(gz) else float)
+    assert np.max(np.abs(val - np.sin(k * xs) / k)) <= 1e-13
+    assert np.max(np.abs(der - np.cos(k * xs))) <= 1e-13
+    end = traj.endpoint
+    assert end.x == traj.x_end == 1.0
+    assert abs(end.value - np.sin(k) / k) <= 1e-9
+    assert abs(end.derivative - np.cos(k)) <= 1e-9
 
 
 def test_positive_coupling_closed_form():
@@ -63,8 +109,7 @@ def test_linearity_in_initial_data():
     def rhs(x, y):
         return [y[1], theta * V(x) * y[0]]
 
-    direct = ode.Trajectory(*ode.march(V, rhs, np.array([b, a]), 1e-12,
-                                       dense=True))
+    direct, _ = _dop853(V, rhs, np.array([b, a]), 1e-12)
     xs = np.linspace(0.0, 1.0, 9)
     combo = a * psi(xs)[0] + b * chi(xs)[0]
     assert np.allclose(direct(xs)[0], combo, atol=1e-10)
@@ -110,8 +155,10 @@ def test_accuracy_improves_with_tol():
 
 
 def test_invalid_tol():
-    with pytest.raises(ValueError):
-        ode.solve_psi(potential.square(), -1.0, tol=0.0)
+    # a nan tol passed the old "tol <= 0" test, and DOP853 then never ended
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            ode.solve_psi(potential.square(), -1.0, tol=tol)
 
 
 def test_invalid_eps():
@@ -134,20 +181,24 @@ def test_scaled_views_wronskian_and_endpoints():
 
 
 def test_basis_u_matches_rescaled_shot():
-    # the u view reads rows (0, 1) of the basis march; rows (2, 3) are v,
-    # whose value starts at 1 and whose slope is scaled the other way.
-    # Alone, u is eps*psi(x/eps) with psi shot at (eps^2*lam, eps^2)
+    # u is eps*psi(x/eps) with psi shot at (eps^2*lam, eps^2); its slope is
+    # psi'(x/eps).  The oracle shoots that psi with scipy's DOP853
     V, lam, eps, z = potential.linear(0.6), -30.0, 0.1, 0.5 + 1.0j
-    u_alone = ode.ScaledTrajectory(
-        ode.solve_psi(V, eps * eps * lam, eps * eps, z, tol=1e-12), eps, eps, 1.0)
+    theta, gz = eps * eps * lam, eps * eps * z
+
+    def rhs(x, y):
+        return [y[1], (theta * V(x) - gz) * y[0]]
+
+    psi, end_psi = _dop853(V, rhs, np.array([0.0, 1.0], dtype=complex), 1e-12)
     u, _ = ode.solve_uv(V, lam, eps, z, tol=1e-12)
     xs = np.linspace(0.0, eps, 11)
-    for got, want in zip(u(xs), u_alone(xs)):
-        assert np.allclose(got, want, rtol=0.0, atol=1e-10)
-    end, ref = u.endpoint, u_alone.endpoint
-    assert end.x == ref.x
-    assert abs(end.value - ref.value) < 1e-10
-    assert abs(end.derivative - ref.derivative) < 1e-10
+    want = psi(xs / eps)
+    for got, w in zip(u(xs), (eps * want[0], want[1])):
+        assert np.allclose(got, w, rtol=0.0, atol=1e-10)
+    end = u.endpoint
+    assert end.x == pytest.approx(eps)
+    assert abs(end.value - eps * end_psi[0]) < 1e-10
+    assert abs(end.derivative - end_psi[1]) < 1e-10
 
 
 def _two_piece():
@@ -241,7 +292,7 @@ def test_taylor_polynomial_pieces_match_the_march(V):
     for t in theta:
         def rhs(x, y, t=t):
             return [y[1], t * V(x) * y[0]]
-        want.append(ode.march(V, rhs, np.array([0.0, 1.0]), 1e-13)[1])
+        want.append(ode.march(V, rhs, np.array([0.0, 1.0]), 1e-13))
     assert _relative_gap(theta, got, np.array(want).T) <= 1e-12
 
 
@@ -326,7 +377,7 @@ def test_march_keeps_each_piece_to_itself(theta, tol):
         calls.append(x)
         return [y[1], theta * V(x) * y[0]]
 
-    y = ode.march(V, rhs, np.array([0.0, 1.0]), tol)[1]
+    y = ode.march(V, rhs, np.array([0.0, 1.0]), tol)
     separate, y_sep = 0, np.array([0.0, 1.0])
     for lo, hi, vj in ((0.0, 0.5, 1.0), (0.5, 1.0, 3.0)):
         sol = solve_ivp(lambda x, y, vj=vj: [y[1], theta * vj * y[0]],
@@ -343,52 +394,10 @@ def test_march_keeps_each_piece_to_itself(theta, tol):
     assert max(abs(y[0] - want[0]), abs(y[1] - want[1]) / k2) <= 100 * tol
 
 
-def _scipy_read(sols, cuts, row, x):
-    """The read through scipy's own OdeSolution of each piece: the piece by
-    side="right" on the cuts, clipped, then OdeSolution.__call__."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((2, xs.size), dtype=sols[0](cuts[0]).dtype)
-    idx = np.clip(np.searchsorted(cuts, xs, side="right") - 1,
-                  0, len(sols) - 1)
-    for i, sol in enumerate(sols):
-        sel = idx == i
-        if np.any(sel):
-            out[:, sel] = sol(xs[sel])[row:row + 2]
-    if np.ndim(x) == 0:
-        return out[0, 0], out[1, 0]
-    return out[0], out[1]
-
-
-def _recording(monkeypatch):
-    """Record the OdeSolution of every solve_ivp call that march makes."""
-    sols = []
-
-    def solve(*args, **kwargs):
-        out = solve_ivp(*args, **kwargs)
-        sols.append(out.sol)
-        return out
-
-    monkeypatch.setattr(ode, "solve_ivp", solve)
-    return sols
-
-
-def _bit_equal(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and all(np.array_equal(p, q) and
-                    np.array_equal(np.signbit(p), np.signbit(q))
-                    for p, q in ((a.real, b.real), (np.imag(a), np.imag(b)))))
-
-
-def _psi(V, theta, z):
-    traj = ode.solve_psi(V, theta, 1.0, z, tol=1e-10)
-    return [(traj, 0)]
-
-
 def _uv_march(V, theta, z, eps, tol=1e-10):
-    """The four-row (psi, psi', psi~, psi~') basis march of every eps at
-    theta_k = eps_k^2*lam_k, gamma_k = eps_k^2, stacked in one DOP853 march
-    (the interior basis itself is a Taylor transfer)."""
+    """The four-row (psi, psi', psi~, psi~') basis of every eps at
+    theta_k = eps_k^2*lam_k, gamma_k = eps_k^2, stacked in one DOP853 oracle
+    march (the interior basis itself is a Taylor transfer)."""
     eps = np.asarray(eps)
     lam = theta / eps ** 2 + 2.0 / eps
     thetas, gz = np.repeat(eps * eps * lam, 2), np.repeat(eps * eps * z, 2)
@@ -400,72 +409,7 @@ def _uv_march(V, theta, z, eps, tol=1e-10):
         return dy
 
     y0 = np.tile(np.array([0.0, 1.0, 1.0, 0.0], dtype=gz.dtype), eps.size)
-    return ode.march(V, rhs, y0, tol, dense=True)
-
-
-def _uv(V, theta, z):
-    pieces, y_end = _uv_march(V, theta, z, [1e-1, 1e-2, 1e-3])
-    return [(ode.Trajectory(pieces, y_end, row), row)
-            for row in range(0, y_end.size, 2)]
-
-
-def _direct(V, theta, z):
-    def rhs(x, y):
-        return [y[1], (theta * V(x) - z) * y[0]]
-
-    y0 = np.array([0.3, -1.7], dtype=np.result_type(z, float))
-    return [(ode.Trajectory(*ode.march(V, rhs, y0, 1e-10, dense=True)), 0)]
-
-
-@pytest.mark.parametrize("z", [0.5 + 1.0j, -2.0], ids=["complex", "real"])
-@pytest.mark.parametrize("make_V, theta", [
-    (potential.square, -np.pi ** 2 / 4),
-    (lambda: potential.linear(0.6), -10.0),
-    (_two_piece, -17.0),
-], ids=["square", "linear", "two_piece"])
-@pytest.mark.parametrize("solve", [_psi, _uv, _direct],
-                         ids=["psi", "uv", "march"])
-def test_stacked_read_is_scipys_read(monkeypatch, solve, make_V, theta, z):
-    # the stacked read evaluates scipy's DOP853 interpolant bit for bit,
-    # on every step edge, every breakpoint, 0, x_end and between them
-    V = make_V()
-    sols = _recording(monkeypatch)
-    trajs = solve(V, theta, z)
-    cuts = np.asarray(V.breakpoints, dtype=float)
-    edges = np.concatenate([sol.ts for sol in sols])
-    rng = np.random.default_rng(5)
-    xs = np.concatenate([edges, cuts, [0.0, -0.0, V.support_end],
-                         rng.uniform(0.0, V.support_end, 200)])
-    for traj, row in trajs:
-        assert traj.x_end == V.support_end
-        for got, want in zip(traj(xs), _scipy_read(sols, cuts, row, xs)):
-            assert _bit_equal(got, want)
-        for x in (0.0, float(cuts[-2]), float(edges[3]), 0.37):
-            got, want = traj(x), _scipy_read(sols, cuts, row, x)
-            assert all(np.ndim(g) == 0 and _bit_equal(g, w)
-                       for g, w in zip(got, want))
-        assert [a.size for a in traj(np.empty(0))] == [0, 0]
-
-
-def test_stacked_read_keeps_the_step_rule():
-    # random interpolants disagree where neighbours meet, so the rule shows:
-    # a breakpoint reads the upper piece, and a step edge inside a piece the
-    # lower step, as OdeSolution does (on real marches the two sides agree
-    # to the last bit)
-    rng = np.random.default_rng(3)
-    cuts = np.array([0.0, 0.4, 1.0])
-    pieces = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        ts = np.concatenate([[lo], np.sort(rng.uniform(lo, hi, 4)), [hi]])
-        pieces.append([Dop853DenseOutput(a, b, rng.normal(size=4),
-                                         rng.normal(size=(7, 4)))
-                       for a, b in zip(ts[:-1], ts[1:])])
-    sols = [OdeSolution([s.t_old for s in p] + [p[-1].t], p) for p in pieces]
-    traj = ode.Trajectory((cuts, sols), np.zeros(4), 2)
-    xs = np.concatenate([np.concatenate([s.ts for s in sols]),
-                         [-0.5, 1.5], rng.uniform(0.0, 1.0, 50)])
-    for got, want in zip(traj(xs), _scipy_read(sols, cuts, 2, xs)):
-        assert _bit_equal(got, want)
+    return _dop853(V, rhs, y0, tol)[0]
 
 
 # -- the dense Taylor basis (u, v) of solve_uv --------------------------------
@@ -506,15 +450,16 @@ def test_taylor_basis_matches_a_tight_march(z):
     # no closed form on the two-piece V: the stacked DOP853 basis march at
     # tol 1e-13 is the oracle, for every eps of a critical schedule
     V, theta, eps = _two_piece(), -17.0, [1e-1, 1e-2, 1e-3]
-    steps, y_end = _uv_march(V, theta, z, eps, tol=1e-13)
+    read = _uv_march(V, theta, z, eps, tol=1e-13)
     bases = ode.solve_uv(V, [theta / e ** 2 + 2.0 / e for e in eps], eps, z,
                          tol=1e-12)
     xs = np.linspace(0.0, 1.0, 41)
+    rows = read(xs)
     for k, (e, views) in enumerate(zip(eps, bases)):
         for j, view in enumerate(views):
-            march = ode.ScaledTrajectory(ode.Trajectory(steps, y_end, 4 * k + 2 * j),
-                                         e, view.factor, view.divisor)
-            for g, w in zip(view(e * xs), march(e * xs)):
+            val, der = rows[4 * k + 2 * j:4 * k + 2 * j + 2]
+            want = (view.factor * val, der / view.divisor)
+            for g, w in zip(view(e * xs), want):
                 assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
 
 

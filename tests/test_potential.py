@@ -60,6 +60,23 @@ def test_validation():
         Potential((0.0, 1.0), ((1.0, 2.0),))               # wrong arity
 
 
+@pytest.mark.parametrize("bp, coeffs, bad", [
+    ((0.0, float("nan"), 1.0), ((1.0,) * 4, (1.0,) * 4), "breakpoint nan"),
+    ((0.0, float("inf")), ((1.0,) * 4,), "breakpoint inf"),
+    ((0.0, 1.0), ((1.0, float("inf"), 0.0, 0.0),), "coefficient inf"),
+    ((0.0, 0.5, 1.0), ((1.0,) * 4, (0.0, 0.0, -float("inf"), 0.0)),
+     "coefficient -inf"),
+    ((0.0, 1.0), ((float("nan"), 0.0, 0.0, 0.0),), "coefficient nan"),
+])
+def test_non_finite_values_are_rejected(bp, coeffs, bad):
+    # JSON specs may hold NaN and Infinity, which json.load parses
+    with pytest.raises(ValueError, match=f"^{bad} is not finite$"):
+        Potential(bp, coeffs)
+    with pytest.raises(ValueError, match=f"^{bad} is not finite$"):
+        Potential.from_dict({"kind": "piecewise", "breakpoints": list(bp),
+                             "coeffs": [list(c) for c in coeffs]})
+
+
 @pytest.mark.parametrize("V", [potential.square(), potential.linear(0.3),
                                potential.piecewise((0.0, 0.4, 1.0),
                                                    [(1.0, 0.0, 0.0, 0.0),

@@ -455,7 +455,7 @@ def test_apply_resolvent_reads_basis_once_per_point_set(monkeypatch,
         raise AssertionError("kernel evaluated pointwise")
 
     reads, f_calls = [], []
-    read = ode._TaylorTrajectory.__call__
+    read = ode.Trajectory.__call__
 
     def counting(self, x):
         reads.append(np.size(x))
@@ -466,7 +466,7 @@ def test_apply_resolvent_reads_basis_once_per_point_set(monkeypatch,
         return np.exp(-y)
 
     monkeypatch.setattr(resolvent.KernelEval, "__call__", refuse)
-    monkeypatch.setattr(ode._TaylorTrajectory, "__call__", counting)
+    monkeypatch.setattr(ode.Trajectory, "__call__", counting)
     counts = []
     for n_x in (10, 200):
         reads.clear()

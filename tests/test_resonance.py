@@ -17,7 +17,7 @@ def _dG_dtheta_variational(V, theta, tol=1e-12):
         v = V(x)
         return [y[1], theta * v * y[0], y[3], theta * v * y[2] + v * y[0]]
 
-    return float(ode.march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol)[1][3])
+    return float(ode.march(V, rhs, np.array([0.0, 1.0, 0.0, 0.0]), tol)[3])
 
 
 def _profile_integrals(V, traj):
@@ -146,12 +146,24 @@ def test_empty_range_rejected():
 
 
 @pytest.mark.parametrize("option, value", [
-    ("grid_cells", 0), ("grid_cells", -3), ("max_hits", -2)])
+    ("grid_cells", 0), ("grid_cells", -3), ("max_hits", -2),
+    ("root_tol", -1.0), ("root_tol", 0.0), ("root_tol", float("nan")),
+    ("root_tol", float("inf"))])
 def test_scan_options_out_of_range_are_rejected(option, value):
-    # no grid cell, or a negative number of hits, would return [] unasked
+    # no grid cell, or a negative number of hits, would return [] unasked;
+    # a root_tol outside (0, inf) would fail the gate at a correct root, or
+    # pass any shot
     with pytest.raises(ValueError, match=option):
         resonance.find_resonances(potential.square(), (-30.0, -0.5),
                                   **{option: value})
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_membership_tol_out_of_range_is_rejected(tol):
+    # -pi^2/4 is resonant: a tol outside (0, inf) must not answer None
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        resonance.resonance_membership(potential.square(), -np.pi ** 2 / 4,
+                                       tol=tol)
 
 
 def test_no_hits_asked_means_none_returned():
@@ -244,9 +256,9 @@ def test_scan_integrates_no_coupling_twice(count_calls):
 def test_certify_keeps_only_the_hits_trajectories(monkeypatch):
     # with the cyclic collector off, a shot left in a reference cycle would
     # outlive the call: no DOP853 result of a gate shot stays alive, every
-    # profile view is a hit's, and only the hits keep theirs
+    # profile trajectory is a hit's, and only the hits keep theirs
     views, results = [], []
-    make, solve = resonance._Profile, ode.solve_ivp
+    make, solve = resonance._psi_trajectory, ode.solve_ivp
 
     def tracked_view(*args):
         view = make(*args)
@@ -258,7 +270,7 @@ def test_certify_keeps_only_the_hits_trajectories(monkeypatch):
         results.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(resonance, "_Profile", tracked_view)
+    monkeypatch.setattr(resonance, "_psi_trajectory", tracked_view)
     monkeypatch.setattr(ode, "solve_ivp", tracked_solve)
     gc.collect()
     gc.disable()
@@ -287,34 +299,49 @@ def test_hit_profiles_match_the_airy_closed_form(xi):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_no_dense_dop853_march(monkeypatch):
-    dense, march = [], ode.march
+def test_no_dense_dop853_solve(monkeypatch):
+    # DOP853 shoots endpoints only: every dense read is a Taylor series
+    dense, solve = [], ode.solve_ivp
 
     def recording(*args, **kwargs):
-        dense.append(kwargs.get("dense", args[4] if len(args) > 4 else False))
-        return march(*args, **kwargs)
+        dense.append(kwargs.get("dense_output", False))
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(ode, "march", recording)
-    monkeypatch.setattr(resonance, "march", recording)
+    monkeypatch.setattr(ode, "solve_ivp", recording)
     theta0 = -np.pi ** 2 / 4
-    assert resonance.find_resonances(potential.linear(0.7), (-200.0, -1.0))
+    hits = resonance.find_resonances(potential.linear(0.7), (-200.0, -1.0))
+    hits[0].trajectory(np.linspace(0.0, 1.0, 9))
     assert resonance.resonance_membership(potential.square(), theta0 + 1e-8)
     assert radial3d.classify_3d(potential.square(), theta0, 1.0).profile_Psi
-    assert dense and not any(dense)
+    ode.solve_psi(potential.square(), theta0, 1.0, 0.5j)(0.5)
+    assert len(dense) >= len(hits) + 3
+    assert not any(dense)
 
 
 def test_profile_marches_on_first_read_only(count_calls):
-    marches = count_calls(resonance, "solve_uv")
+    marches = count_calls(ode, "_taylor_basis")
     [hit] = resonance.find_resonances(potential.square(), (-5.0, -1.0))
     end = hit.trajectory.endpoint
     assert not marches
     assert (end.x, end.value, abs(end.derivative)) == (1.0, hit.psi_at_M,
                                                        hit.residual)
     val = hit.trajectory(1.0)[0]
-    assert len(marches) == 1 and marches[0][1:4] == (hit.theta, 1.0, 0.0)
+    # one coupling, zero energy, psi alone: (value, slope) = (0, 1) at 0
+    assert len(marches) == 1
+    _, theta, gz, y0, _ = marches[0]
+    assert (theta.tolist(), gz, y0.tolist()) == ([hit.theta], 0.0,
+                                                 [[[0.0]], [[1.0]]])
     assert val == pytest.approx(hit.psi_at_M, rel=1e-12)
     assert hit.trajectory(np.array([0.5, 1.0]))[0][1] == val
     assert len(marches) == 1
+
+
+def test_shoot_residual_builds_no_taylor_series(count_calls):
+    # the endpoint is one DOP853 shot; the dense series waits for a read
+    marches = count_calls(ode, "_taylor_march")
+    shots = count_calls(ode, "solve_ivp")
+    resonance.shoot_residual(potential.linear(0.5), -9.0, 1e-12)
+    assert len(shots) == 1 and not marches
 
 
 def test_max_hits_certifies_only_what_it_returns(count_calls):
