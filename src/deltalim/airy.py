@@ -4,8 +4,9 @@ closed forms built on them.
 Evaluation strategy: for |x| <= X_SWITCH, a short Taylor step of
 y'' = x*y from the nearest of the anchors a = j/8, j = -72..72, whose
 (Ai, Ai', Bi, Bi') are summed once, on first use, by the Maclaurin series
-about 0 in compensated double-double arithmetic, so the cancellation of the
-large series terms does not destroy the small function values.  The step
+about 0 in 60-digit decimal arithmetic and rounded once to float, so the
+cancellation of the large series terms does not reach the small function
+values: each anchor is the correctly rounded value.  The step
 |h| <= 1/16 is summed to order 16 in plain double arithmetic, by Horner's
 rule on coefficients tabulated with the anchors (Gil, Segura & Temme,
 Numerical Methods for Special Functions, ch. 9; DLMF 3.7).  Outside,
@@ -13,11 +14,13 @@ full asymptotic expansions (well beyond leading order) are each summed to
 their smallest term.  The positive axis uses the exponential series of
 DLMF 9.7.5-9.7.8; the negative axis uses the oscillatory Poincare series
 of DLMF 9.7.9-9.7.12, i.e. cos/sin(zeta - pi/4) times the even and odd
-u_k (v_k for the derivatives) sums P and Q.
+u_k (v_k for the derivatives) sums P and Q, with the 80 coefficients of
+each tabulated on first use.
 
 The split point is 9.0: the oscillatory-side asymptotic error floor behaves
 like exp(-4/3*|x|^(3/2)), which only drops well below 1e-13 for |x| >= 9,
-while the double-double series stays near machine accuracy up to that point.
+while the Taylor steps from the anchors stay near machine accuracy up to
+that point.
 
 airy_table steps a whole array of arguments at once (and so does the
 residual grid of find_linear_resonances): every element sees the same IEEE
@@ -26,9 +29,13 @@ each value is bit-identical to airy_quad at that argument.
 """
 from __future__ import annotations
 
+import decimal
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from scipy.optimize import brentq
@@ -56,70 +63,6 @@ X_MAX = 200.0
 GAUGE_X = 100.0
 XI_SQUARE_GUARD = 1e-6   # |xi| below this routes to the square-well forms
 
-# double-double constants: Ai(0), -Ai'(0), sqrt(3)
-_AI0 = (0.3550280538878172, 2.05233632436212e-17)
-_NEG_DAI0 = (0.2588194037928068, -2.522243111610832e-17)
-_SQRT3 = (1.7320508075688772, 1.0035084221806903e-16)
-
-_SPLITTER = 134217729.0  # 2^27 + 1
-
-
-# ---------------------------------------------------------------------------
-# minimal double-double arithmetic (hi, lo) -- only what the series needs
-# ---------------------------------------------------------------------------
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _split(a: float):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ahi, alo = _split(a)
-    bhi, blo = _split(b)
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_add(x, y):
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    hi, lo = _two_sum(s, e)
-    return hi, lo
-
-
-def _dd_mul(x, y):
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    hi, lo = _two_sum(p, e)
-    return hi, lo
-
-
-def _dd_mul_d(x, d: float):
-    p, e = _two_prod(x[0], d)
-    e += x[1] * d
-    hi, lo = _two_sum(p, e)
-    return hi, lo
-
-
-def _dd_div_d(x, d: float):
-    q1 = x[0] / d
-    p, e = _two_prod(q1, d)
-    r = _dd_add(x, (-p, -e))
-    q2 = (r[0] + r[1]) / d
-    hi, lo = _two_sum(q1, q2)
-    return hi, lo
-
-
-def _dd_neg(x):
-    return -x[0], -x[1]
-
 
 # ---------------------------------------------------------------------------
 # series region: Taylor steps from anchors summed by the Maclaurin series
@@ -130,55 +73,45 @@ _LAST = 72           # anchors a = j*_STEP, |j| <= _LAST, cover |x| <= X_SWITCH
 _ORDER = 16          # the dropped terms fall like (3|h|)^17/17! < 1e-26
 
 
-def _series(x):
-    """The four auxiliary Maclaurin sums (f, g, f', g') for y'' = x*y at each
-    element of a 1-d float64 array, summed in double-double arithmetic until
-    every element has stagnated."""
-    x2 = _two_prod(x, x)
-    x3 = _dd_mul_d(x2, x)
-
-    f = term_f = (np.ones_like(x), np.zeros_like(x))
-    g = term_g = (x, np.zeros_like(x))
-    fp = term_fp = _dd_div_d(x2, 2.0)
-    gp = term_gp = (np.ones_like(x), np.zeros_like(x))
-
-    for k in range(1, 400):
-        tk = 3.0 * k
-        term_f = _dd_div_d(_dd_mul(term_f, x3), (tk - 1.0) * tk)
-        term_g = _dd_div_d(_dd_mul(term_g, x3), tk * (tk + 1.0))
-        term_gp = _dd_div_d(_dd_mul(term_gp, x3), (tk - 2.0) * tk)
-        f = _dd_add(f, term_f)
-        g = _dd_add(g, term_g)
-        gp = _dd_add(gp, term_gp)
-        if k >= 2:
-            term_fp = _dd_div_d(_dd_mul_d(_dd_mul(term_fp, x3), float(k)),
-                                (k - 1.0) * (tk - 1.0) * tk)
-            fp = _dd_add(fp, term_fp)
-        terms = np.maximum.reduce([abs(t[0]) for t in
-                                   (term_f, term_g, term_fp, term_gp)])
-        if np.all(terms < 1e-35 * (abs(f[0]) + abs(g[0]) + 1.0)):
-            break
-    return f, g, fp, gp
-
-
 def _maclaurin(x):
-    """(Ai, Ai', Bi, Bi') at each element of a 1-d array."""
-    f, g, fp, gp = _series(x)
-    af = _dd_mul(_AI0, f)
-    bg = _dd_mul(_NEG_DAI0, g)
-    afp = _dd_mul(_AI0, fp)
-    bgp = _dd_mul(_NEG_DAI0, gp)
-    ai = _dd_add(af, _dd_neg(bg))
-    dai = _dd_add(afp, _dd_neg(bgp))
-    bi = _dd_mul(_SQRT3, _dd_add(af, bg))
-    dbi = _dd_mul(_SQRT3, _dd_add(afp, bgp))
-    return (ai[0] + ai[1], dai[0] + dai[1], bi[0] + bi[1], dbi[0] + dbi[1])
+    """(Ai, Ai', Bi, Bi') at each element of a 1-d array, by the Maclaurin
+    series about 0 (DLMF 9.4.1-9.4.4) summed in 60-digit decimal arithmetic
+    and rounded once to float.  At |x| = 9 the series terms reach 1e8 while
+    Ai is near 1e-9, so the sums keep over 40 digits past the cancellation.
+
+    With f = sum c_k x^3k and g = x sum d_k x^3k the solutions that are
+    1, 0 and 0, 1 at 0, Ai = A f - B g and Bi = sqrt(3) (A f + B g), where
+    A = Ai(0) and B = -Ai'(0) (DLMF 9.2.3-9.2.4), and alike for f' = x^2
+    sum e_k x^3k and g' = sum h_k x^3k.  Each coefficient is the one before
+    over (n + i)(n + j), n = 3k; 64 terms leave a tail below 1e-60 of each
+    sum up to |x| = 9."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        a0 = Decimal("0.355028053887817239260063186004183176397979174")
+        b0 = Decimal("0.258819403792806798405183560189203963479091138")
+        sqrt3 = Decimal(3).sqrt()
+        series = []                     # c_k, d_k, e_k, h_k
+        for i, j, first in ((-1, 0, 1), (0, 1, 1), (0, 2, 0.5), (-2, 0, 1)):
+            c = [Decimal(first)]
+            for n in range(3, 3 * 64, 3):
+                c.append(c[-1] / ((n + i) * (n + j)))
+            series.append(c)
+        rows = []
+        for t in np.asarray(x, dtype=float).tolist():
+            t = Decimal(t)
+            powers = list(itertools.accumulate(
+                itertools.repeat(t ** 3, 63), operator.mul, initial=Decimal(1)))
+            f, g, fp, gp = (sum(map(operator.mul, c, powers)) for c in series)
+            af, bg, afp, bgp = a0 * f, b0 * t * g, a0 * t * t * fp, b0 * gp
+            rows.append([float(v) for v in (af - bg, afp - bgp,
+                                            sqrt3 * (af + bg),
+                                            sqrt3 * (afp + bgp))])
+    return np.array(rows).T
 
 
 @functools.cache
 def _anchors():
     """Horner coefficients of the Taylor step from each anchor, built on
-    first use from one _series call.
+    first use from one _maclaurin call.
 
     About a, y(a + h) = sum c_k h^k with c_0 = y(a), c_1 = y'(a) and
     c_{k+2} = (a*c_k + c_{k-1}) / ((k+1)(k+2)), and y'(a + h) =
@@ -227,17 +160,16 @@ def _taylor_table(xs: np.ndarray) -> np.ndarray:
 # asymptotic region
 # ---------------------------------------------------------------------------
 
-_UK: list[float] = [1.0]
-_VK: list[float] = [1.0]
-
-
-def _coeffs(n: int):
-    while len(_UK) <= n:
-        k = len(_UK)
-        u = _UK[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        _UK.append(u)
-        _VK.append(u * (6 * k + 1) / (1 - 6 * k))
-    return _UK, _VK
+@functools.cache
+def _asym_coeffs():
+    """The coefficients u_k and v_k of DLMF 9.7.2, k < 80, built on first
+    use."""
+    uk, vk = [1.0], [1.0]
+    for k in range(1, 80):
+        u = uk[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
+        uk.append(u)
+        vk.append(u * (6 * k + 1) / (1 - 6 * k))
+    return uk, vk
 
 
 def _asym_sum(coeff, zeta: float, alternating: bool, parity: int | None = None):
@@ -247,7 +179,6 @@ def _asym_sum(coeff, zeta: float, alternating: bool, parity: int | None = None):
     prev = np.inf
     ks = range(0, 40) if parity is None else range(parity, 80, 2)
     for i, k in enumerate(ks):
-        _coeffs(k)
         term = coeff[k] / zeta ** k
         if abs(term) >= prev:
             break
@@ -263,10 +194,11 @@ def _asym_positive(x: float, gauge: float = 0.0):
     zeta = (2.0 / 3.0) * x ** 1.5
     root = x ** 0.25
     spi = np.sqrt(np.pi)
-    su_alt = _asym_sum(_UK, zeta, True)
-    sv_alt = _asym_sum(_VK, zeta, True)
-    su = _asym_sum(_UK, zeta, False)
-    sv = _asym_sum(_VK, zeta, False)
+    uk, vk = _asym_coeffs()
+    su_alt = _asym_sum(uk, zeta, True)
+    sv_alt = _asym_sum(vk, zeta, True)
+    su = _asym_sum(uk, zeta, False)
+    sv = _asym_sum(vk, zeta, False)
     with np.errstate(over="ignore"):
         em, ep = np.exp(gauge - zeta), np.exp(zeta - gauge)
         ai = em / (2.0 * spi * root) * su_alt
@@ -282,10 +214,11 @@ def _asym_negative(x: float):
     root = t ** 0.25
     spi = np.sqrt(np.pi)
     c, s = np.cos(zeta - np.pi / 4.0), np.sin(zeta - np.pi / 4.0)
-    p = _asym_sum(_UK, zeta, True, parity=0)
-    q = _asym_sum(_UK, zeta, True, parity=1)
-    r = _asym_sum(_VK, zeta, True, parity=0)
-    u = _asym_sum(_VK, zeta, True, parity=1)
+    uk, vk = _asym_coeffs()
+    p = _asym_sum(uk, zeta, True, parity=0)
+    q = _asym_sum(uk, zeta, True, parity=1)
+    r = _asym_sum(vk, zeta, True, parity=0)
+    u = _asym_sum(vk, zeta, True, parity=1)
     ai = (c * p + s * q) / (spi * root)
     bi = (-s * p + c * q) / (spi * root)
     dai = root * (s * r - c * u) / spi
@@ -469,6 +402,9 @@ def _residual_grid(xi: float, thetas: np.ndarray) -> np.ndarray:
 
 
 def _check_resonant(xi: float, theta: float, residual_tol: float, pair):
+    if not 0.0 < residual_tol < math.inf:
+        raise ValueError(
+            f"residual_tol must be positive and finite, got {residual_tol}")
     if pair is None:
         res, scale = _square_closed(theta, 1.0)[1], 1.0
     else:
@@ -553,6 +489,8 @@ def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
         raise ValueError("empty theta range")
     if grid_cells < 1:
         raise ValueError(f"grid_cells must be at least 1, got {grid_cells}")
+    if not 0.0 < root_tol < math.inf:
+        raise ValueError(f"root_tol must be positive and finite, got {root_tol}")
     if max_hits is not None and max_hits < 0:
         raise ValueError(f"max_hits must not be negative, got {max_hits}")
     grid = np.linspace(lo, hi, grid_cells + 1)

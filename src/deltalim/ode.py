@@ -125,8 +125,8 @@ def march(V: Potential, rhs, y0, tol: float):
     which V gives to the next piece; an inner piece reads rhs at the float
     just below hi instead, so that a jump of V does not make the error
     control reject and shrink the steps before it."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     cuts = V.breakpoints
     y = y0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -245,8 +245,8 @@ def _taylor_march(V: Potential, theta, y, tol: float, gz=None,
     Returns (step starts, step lengths, a of shape (p+1, steps, solutions,
     couplings)) or None, and the state at M.  A state that overflows raises
     NonConvergence naming its piece."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     big = float(np.max(np.abs(theta), initial=0.0))
     shift = 0.0 if gz is None else float(np.max(np.abs(gz)))
     if not math.isfinite(big + shift):

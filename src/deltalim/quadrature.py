@@ -1,19 +1,18 @@
 """Composite Gauss-Legendre quadrature on breakpoint-respecting panels."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import QuadratureFailure
 
 __all__ = ["panel_edges", "gauss_nodes"]
 
-_rule_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _rule_cache:
-        _rule_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _rule_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def panel_edges(a: float, b: float, breakpoints=(),

@@ -178,6 +178,18 @@ def test_resonance_gate_off_the_oscillatory_quadrant(xi, theta):
         airy.linear_weighted_square_integral(xi, theta)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_resonance_gate_tol_out_of_range_is_rejected(tol):
+    # (0.7, -20) is no resonance (residual -0.235): a nan or inf gate let
+    # alpha_linear return -0.01726 there
+    for closed_form in (lambda: airy.alpha_linear(0.7, -20.0, 1.0,
+                                                  residual_tol=tol),
+                        lambda: airy.linear_weighted_square_integral(
+                            0.7, -20.0, residual_tol=tol)):
+        with pytest.raises(ValueError, match="residual_tol must be positive"):
+            closed_form()
+
+
 def test_closed_forms_where_ai_nearly_vanishes():
     # s = -6.787 is near a zero of Ai and w = -3.248 near one of Ai'; the
     # root is found 2e-11 from the exact one, inside Brent's tolerance, and
@@ -319,6 +331,14 @@ def test_grid_cells_must_be_positive(cells):
     # as in find_resonances: no grid cell would return [] unasked
     with pytest.raises(ValueError, match="grid_cells must be at least 1"):
         airy.find_linear_resonances(0.7, (-80.0, -0.5), grid_cells=cells)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+def test_root_tol_out_of_range_is_rejected(tol):
+    # inf returned -4.807000 for the root -4.807683, nan an AiryRangeError
+    # naming nan, and -1 and 0 brentq's "xtol too small"
+    with pytest.raises(ValueError, match="root_tol must be positive"):
+        airy.find_linear_resonances(0.7, (-30.0, -0.5), root_tol=tol)
 
 
 def test_deep_window_scans_without_overflow():
@@ -502,7 +522,7 @@ def test_closed_form_overflow_names_sigma(xi, theta):
 # the series region: Taylor steps from the anchors a = j/8, |j| <= 72
 
 
-def test_anchor_steps_match_the_double_double_series():
+def test_anchor_steps_match_the_decimal_series():
     xs = np.linspace(-9.0, 9.0, 8001)
     ref = np.column_stack(airy._maclaurin(xs))
     got = airy.airy_table(xs)
@@ -510,6 +530,18 @@ def test_anchor_steps_match_the_double_double_series():
     pos = xs > 0.0          # Ai and Ai' decay there: relative accuracy
     assert np.all(np.abs(got[pos, :2] - ref[pos, :2])
                   <= 1e-15 * np.abs(ref[pos, :2]))
+
+
+def test_anchors_are_correctly_rounded():
+    # every anchor value is the float nearest the 50-digit one; the
+    # double-double sum missed by 1 ulp in Ai and Ai' at a = 8.875
+    mpmath = pytest.importorskip("mpmath")
+    got = airy._anchors()[0][:, -1]         # the degree-0 row of each step
+    with mpmath.workdps(50):
+        want = [[float(f(a / 8.0, derivative=d))
+                 for f in (mpmath.airyai, mpmath.airybi) for d in (0, 1)]
+                for a in range(-72, 73)]
+    assert got.tolist() == want
 
 
 def test_airy_table_matches_airy_quad_at_anchors_and_ties():
@@ -521,7 +553,7 @@ def test_airy_table_matches_airy_quad_at_anchors_and_ties():
 
 def test_anchor_table_is_built_once(count_calls):
     airy._anchors.cache_clear()
-    calls = count_calls(airy, "_series")
+    calls = count_calls(airy, "_maclaurin")
     for x in np.linspace(-9.0, 9.0, 7):
         airy.airy_quad(x)
         airy.airy_table(np.linspace(-x, 0.5 * x, 5))

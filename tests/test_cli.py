@@ -51,6 +51,15 @@ def test_kernel_mismatched_points(tmp_path):
                     "--x", "0.5", "--y", "0.7,0.2"]) == 1
 
 
+def test_infinite_tol_is_domain_error(capsys):
+    # an inf tol made the Taylor march order 1, and the kernel came out
+    # 0.004975 where it is 0.005536, with exit status 0
+    assert cli.run(["kernel", "--potential", "square", "--lam", "-2467.4",
+                    "--eps", "0.01", "--z", "0,1", "--x", "0.005",
+                    "--y", "0.007", "--tol", "inf"]) == 1
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_real_z_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.run(["kernel", "--potential", "square", "--lam", "-1",

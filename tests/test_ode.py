@@ -155,8 +155,9 @@ def test_accuracy_improves_with_tol():
 
 
 def test_invalid_tol():
-    # a nan tol passed the old "tol <= 0" test, and DOP853 then never ended
-    for tol in (0.0, float("nan")):
+    # a nan tol passed the old "tol <= 0" test, and an inf one the
+    # "tol > 0" test after it; DOP853 then never ended
+    for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol must be positive"):
             ode.solve_psi(potential.square(), -1.0, tol=tol)
 
@@ -338,7 +339,7 @@ def test_taylor_blocks_change_nothing(monkeypatch):
         assert _basis_reads(W) == want
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
 def test_taylor_invalid_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         ode.taylor_endpoints(potential.square(), np.array([-1.0]), tol)
