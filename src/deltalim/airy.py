@@ -22,10 +22,10 @@ like exp(-4/3*|x|^(3/2)), which only drops well below 1e-13 for |x| >= 9,
 while the Taylor steps from the anchors stay near machine accuracy up to
 that point.
 
-airy_table steps a whole array of arguments at once (and so does the
-residual grid of find_linear_resonances): every element sees the same IEEE
-operations, in the same order, as a float argument does in airy_quad, so
-each value is bit-identical to airy_quad at that argument.
+airy_table is the one evaluation path: it takes the Taylor steps of a
+whole array at once, and airy_quad is its row at a single argument.  The
+closed forms read their Airy pairs through one router, _linear_pairs,
+which makes one airy_table call for a whole array of couplings.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AiryRangeError, NotAResonance
-from .resonance import refine_nearest_first
+from .resonance import refine_nearest_first, scan_grid
 
 __all__ = [
     "AiryQuad",
@@ -59,7 +59,7 @@ __all__ = [
 X_SWITCH = 9.0
 X_MAX = 200.0
 # above this, Bi = O(e^zeta), zeta = 2/3 x^1.5 > 666, nears the float64 range
-# and Ai its subnormal floor, so _linear_pair reads the pair in a gauge
+# and Ai its subnormal floor, so _linear_pairs reads the pair in a gauge
 GAUGE_X = 100.0
 XI_SQUARE_GUARD = 1e-6   # |xi| below this routes to the square-well forms
 
@@ -115,9 +115,9 @@ def _anchors():
 
     About a, y(a + h) = sum c_k h^k with c_0 = y(a), c_1 = y'(a) and
     c_{k+2} = (a*c_k + c_{k-1}) / ((k+1)(k+2)), and y'(a + h) =
-    sum (k+1) c_{k+1} h^k.  Returns the (anchor, degree, column) array,
+    sum (k+1) c_{k+1} h^k.  Returns the (degree, anchor, column) array,
     highest degree first, with the columns Ai, Ai', Bi, Bi' (the derivative
-    columns lead with a zero), and the same numbers as nested lists."""
+    columns lead with a zero)."""
     a = np.arange(-_LAST, _LAST + 1) * _STEP
     ai, dai, bi, dbi = _maclaurin(a)
     c = np.zeros((_ORDER + 1, 2, a.size))       # c_k of Ai and of Bi
@@ -127,32 +127,20 @@ def _anchors():
     d = np.zeros_like(c)
     d[:-1] = np.arange(1, _ORDER + 1)[:, None, None] * c[1:]
     coef = np.stack([c[:, 0], d[:, 0], c[:, 1], d[:, 1]], axis=-1)
-    coef = np.ascontiguousarray(coef[::-1].transpose(1, 0, 2))
+    coef = np.ascontiguousarray(coef[::-1])
     coef.flags.writeable = False        # one cached table serves every call
-    return coef, coef.tolist()
-
-
-def _taylor(x: float):
-    """(Ai, Ai', Bi, Bi') at a float |x| <= X_SWITCH, stepped from the
-    nearest anchor in Python floats."""
-    j = math.floor(x / _STEP + 0.5)
-    h = x - j * _STEP
-    rows = _anchors()[1][j + _LAST]
-    ai, dai, bi, dbi = rows[0]
-    for c0, c1, c2, c3 in rows[1:]:
-        ai, dai, bi, dbi = ai * h + c0, dai * h + c1, bi * h + c2, dbi * h + c3
-    return ai, dai, bi, dbi
+    return coef
 
 
 def _taylor_table(xs: np.ndarray) -> np.ndarray:
-    """Rows (Ai, Ai', Bi, Bi') at a 1-d array with |x| <= X_SWITCH: the
-    operations of _taylor, elementwise and in the same order."""
+    """Rows (Ai, Ai', Bi, Bi') at a 1-d array with |x| <= X_SWITCH, each
+    stepped from the nearest anchor by Horner's rule."""
     j = np.floor(xs / _STEP + 0.5)
-    h = (xs - j * _STEP)[:, None]
-    rows = _anchors()[0][j.astype(np.intp) + _LAST]
-    out = rows[:, 0]
-    for m in range(1, _ORDER + 1):
-        out = out * h + rows[:, m]
+    h = np.repeat((xs - j * _STEP)[:, None], 4, axis=1)
+    rows = _anchors()[:, j.astype(np.intp) + _LAST]
+    out = rows[0]
+    for row in rows[1:]:
+        out = out * h + row
     return out
 
 
@@ -241,31 +229,24 @@ class AiryQuad:
         return self.ai * self.dbi - self.dai * self.bi
 
 
-def _asymptotic(x: float):
-    return _asym_positive(x) if x > 0 else _asym_negative(x)
-
-
 def _range_error(x: float) -> AiryRangeError:
     return AiryRangeError(f"argument {x} outside guarded range |x| <= {X_MAX}")
 
 
 def airy_quad(x: float) -> AiryQuad:
-    """Evaluate the Airy quartet at real x, |x| <= 200."""
+    """Evaluate the Airy quartet at real x, |x| <= 200: the row of
+    airy_table at x."""
     x = float(x)
-    if not abs(x) <= X_MAX:              # NaN fails the comparison
-        raise _range_error(x)
-    vals = _taylor(x) if abs(x) <= X_SWITCH else _asymptotic(x)
-    return AiryQuad(x, *vals)
+    return AiryQuad(x, *airy_table(x)[0].tolist())
 
 
 def airy_table(xs) -> np.ndarray:
     """Columns (Ai, Ai', Bi, Bi') for an array of arguments.
 
     Every argument with |x| <= 9 takes its Taylor step in one array pass;
-    the others take the asymptotic expansions one at a time.  Each row is
-    bit-identical to airy_quad at that argument."""
+    the others take the asymptotic expansions one at a time."""
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    bad = ~(np.abs(xs) <= X_MAX)
+    bad = ~(np.abs(xs) <= X_MAX)         # NaN fails the comparison
     if bad.any():
         raise _range_error(float(xs[bad][0]))
     out = np.empty((xs.size, 4))
@@ -273,7 +254,8 @@ def airy_table(xs) -> np.ndarray:
     if near.any():
         out[near] = _taylor_table(xs[near])
     for i in np.flatnonzero(~near):
-        out[i] = _asymptotic(float(xs[i]))
+        x = float(xs[i])
+        out[i] = _asym_positive(x) if x > 0 else _asym_negative(x)
     return out
 
 
@@ -294,57 +276,84 @@ def _use_square(xi: float, theta):
     return (abs(xi) < XI_SQUARE_GUARD) | (np.abs(theta) > X_MAX ** 3 * xi * xi)
 
 
-def _square_closed(theta: float, x: float):
-    if theta < 0:
-        s = np.sqrt(-theta)
-        return np.sin(s * x) / s, np.cos(s * x)
-    s = np.sqrt(theta)
-    return np.sinh(s * x) / s, np.cosh(s * x)
+def _square_closed(theta, x: float):
+    """(psi(x), psi'(x)) of the square well, elementwise in theta (a float
+    or an array); raises AiryRangeError naming theta where sinh or cosh
+    leaves the float64 range."""
+    theta = np.asarray(theta, dtype=float)
+    k = np.sqrt(np.abs(theta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.where(theta < 0, np.sin(k * x), np.sinh(k * x)) / k
+        dpsi = np.where(theta < 0, np.cos(k * x), np.cosh(k * x))
+    _finite(theta, (psi, dpsi), "square-well closed form overflows at theta")
+    return psi[()], dpsi[()]
 
 
-def _airy_gauged(x: float, gauge: float) -> AiryQuad:
-    """The Airy quartet at x with Ai and Ai' scaled by e^gauge and Bi and
+def _airy_gauged(x: float, gauge: float):
+    """(Ai, Ai', Bi, Bi') at x with Ai and Ai' scaled by e^gauge and Bi and
     Bi' by e^-gauge; a product Ai(a)*Bi(b) of two such quartets is
     unchanged."""
     if x > X_SWITCH:
         if not x <= X_MAX:
             raise _range_error(x)
-        return AiryQuad(x, *_asym_positive(x, gauge))
-    q = airy_quad(x)
+        return _asym_positive(x, gauge)
+    ai, dai, bi, dbi = airy_table(x)[0]
     up, down = np.exp(gauge), np.exp(-gauge)
-    return AiryQuad(x, q.ai * up, q.dai * up, q.bi * down, q.dbi * down)
+    return ai * up, dai * up, bi * down, dbi * down
+
+
+def _linear_pairs(xi: float, thetas: np.ndarray, x: float = 1.0):
+    """(square, s, w, at_s, at_w) for a 1-d array of couplings: square marks
+    where the square-well forms stand in (see _use_square); elsewhere s =
+    cbrt(theta/xi^2), w = s*(1 - xi*x), and the rows of at_s and at_w are
+    (Ai, Ai', Bi, Bi') at s and w, all read by one airy_table call.
+
+    The closed forms read the two quartets through products Ai(.)*Bi(.) and
+    ratios of Ai to Ai, which a common gauge (Ai times e^g, Bi times e^-g
+    at both points) leaves unchanged.  Where Bi(s) or Bi(w) would leave the
+    float64 range (above GAUGE_X), the pair is read on its own with g the
+    mean of their exponents 2/3 x^1.5, and raises AiryRangeError naming s
+    where a value is still not finite."""
+    if np.any(thetas == 0.0):
+        raise ValueError("theta must be nonzero")
+    square = _use_square(xi, thetas)
+    s = np.full(thetas.size, np.nan)
+    s[~square] = np.cbrt(thetas[~square] / (xi * xi))      # sigma_parameter
+    w = s * (1.0 - xi * x)
+    rows = np.full((2, thetas.size, 4), np.nan)
+    gauged = np.fmax(s, w) > GAUGE_X
+    table = ~square & ~gauged
+    rows[:, table] = airy_table(
+        np.concatenate([s[table], w[table]])).reshape(2, -1, 4)
+    for i in np.flatnonzero(gauged):
+        si, wi = float(s[i]), float(w[i])
+        gauge = (max(si, 0.0) ** 1.5 + max(wi, 0.0) ** 1.5) / 3.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows[:, i] = _finite(
+                si, (_airy_gauged(si, gauge), _airy_gauged(wi, gauge)))
+    return square, s, w, rows[0], rows[1]
 
 
 def _linear_pair(xi: float, theta: float, x: float = 1.0):
-    """(s, Airy quartets at s and at s*(1 - xi*x)) with s = cbrt(theta/xi^2),
-    or None where the square-well forms stand in (see _use_square).
-
-    Every closed form reads the two quartets through products Ai(.)*Bi(.)
-    and ratios of Ai to Ai, which a common gauge (Ai times e^g, Bi times
-    e^-g at both points) leaves unchanged.  Where Bi(s) or Bi(s*(1-xi*x))
-    would leave the float64 range, g is the mean of their exponents
-    2/3 x^1.5, so the pair stays finite wherever the closed form is;
-    otherwise g = 0.  Raises AiryRangeError naming s where a value is still
-    not finite."""
-    if theta == 0.0:
-        raise ValueError("theta must be nonzero")
-    if _use_square(xi, theta):
+    """(s, Airy quartets at s and at s*(1 - xi*x)) for one coupling, or None
+    where the square-well forms stand in: one row of _linear_pairs."""
+    square, s, w, at_s, at_w = _linear_pairs(
+        xi, np.array([theta], dtype=float), x)
+    if square[0]:
         return None
-    s = sigma_parameter(xi, theta)
-    w = s * (1.0 - xi * x)
-    if max(s, w) <= GAUGE_X:
-        return s, airy_quad(s), airy_quad(w)
-    gauge = (max(s, 0.0) ** 1.5 + max(w, 0.0) ** 1.5) / 3.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair = _airy_gauged(s, gauge), _airy_gauged(w, gauge)
-    _check_finite(s, [v for q in pair for v in (q.ai, q.dai, q.bi, q.dbi)])
-    return (s, *pair)
+    s, w = float(s[0]), float(w[0])
+    return s, AiryQuad(s, *at_s[0]), AiryQuad(w, *at_w[0])
 
 
-def _check_finite(s: float, values) -> None:
-    if not np.all(np.isfinite(values)):
+def _finite(at, values, where: str = "Airy closed form overflows at s"):
+    """values, or AiryRangeError naming the s (or theta) of the first one
+    that is not finite; at is a float, or one per value."""
+    bad = ~np.isfinite(values)
+    if bad.any():
         raise AiryRangeError(
-            f"Airy closed form overflows at s = {s} (float64 range)")
+            f"{where} = {np.broadcast_to(at, bad.shape)[bad][0]} "
+            f"(float64 range)")
+    return values
 
 
 def psi_linear_closed(xi: float, theta: float, x: float):
@@ -361,8 +370,7 @@ def psi_linear_closed(xi: float, theta: float, x: float):
     with np.errstate(over="ignore", invalid="ignore"):
         psi = (np.pi / (xi * s)) * (at_s.bi * at_w.ai - at_s.ai * at_w.bi)
         dpsi = np.pi * (at_s.ai * at_w.dbi - at_s.bi * at_w.dai)
-    _check_finite(s, (psi, dpsi))
-    return psi, dpsi
+    return _finite(s, (psi, dpsi))
 
 
 def upsilon_linear_residual(xi: float, theta: float) -> float:
@@ -370,34 +378,18 @@ def upsilon_linear_residual(xi: float, theta: float) -> float:
 
     Proportional to psi'(1): Ai(s)Bi'(s(1-xi)) - Bi(s)Ai'(s(1-xi)) with
     s = cbrt(theta/xi^2)."""
-    pair = _linear_pair(xi, theta)
-    if pair is None:
-        return _square_closed(theta, 1.0)[1]
-    s, at_s, at_w = pair
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = at_s.ai * at_w.dbi - at_s.bi * at_w.dai
-    _check_finite(s, res)
-    return res
+    return _residual_grid(xi, np.array([theta], dtype=float))[0]
 
 
 def _residual_grid(xi: float, thetas: np.ndarray) -> np.ndarray:
-    """upsilon_linear_residual at each coupling of a 1-d array, bit for bit,
-    with the Airy pairs of all ungauged couplings read by one airy_table
-    call; a gauged one (see _linear_pair) takes the scalar path."""
-    out = np.empty(thetas.size)
-    square = _use_square(xi, thetas)
-    for i in np.flatnonzero(square):
-        out[i] = _square_closed(thetas[i], 1.0)[1]
-    s = np.full(thetas.size, np.nan)
-    s[~square] = np.cbrt(thetas[~square] / (xi * xi))      # sigma_parameter
-    gauged = ~square & (np.fmax(s, s * (1.0 - xi)) > GAUGE_X)
-    for i in np.flatnonzero(gauged):
-        out[i] = upsilon_linear_residual(xi, float(thetas[i]))
-    table = ~square & ~gauged
-    n = np.count_nonzero(table)
-    pairs = airy_table(np.concatenate([s[table], s[table] * (1.0 - xi)]))
-    at_s, at_w = pairs[:n], pairs[n:]
-    out[table] = at_s[:, 0] * at_w[:, 3] - at_s[:, 2] * at_w[:, 1]
+    """upsilon_linear_residual at each coupling of a 1-d array: the products
+    of the rows of _linear_pairs, or the square-well slope."""
+    square, s, _, at_s, at_w = _linear_pairs(xi, thetas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = at_s[:, 0] * at_w[:, 3] - at_s[:, 2] * at_w[:, 1]
+    _finite(s[~square], out[~square])
+    if square.any():
+        out[square] = _square_closed(thetas[square], 1.0)[1]
     return out
 
 
@@ -409,7 +401,9 @@ def _check_resonant(xi: float, theta: float, residual_tol: float, pair):
         res, scale = _square_closed(theta, 1.0)[1], 1.0
     else:
         s, at_s, at_w = pair
-        res = at_s.ai * at_w.dbi - at_s.bi * at_w.dai
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an inf would pass any scaled gate
+            res = _finite(s, at_s.ai * at_w.dbi - at_s.bi * at_w.dai)
         w = s * (1.0 - xi)
         if min(s, w) <= 0.0 and max(s, w) <= GAUGE_X:
             # one point oscillates, so (Ai, Bi)(s) or (Ai', Bi')(w) turns
@@ -423,7 +417,7 @@ def _check_resonant(xi: float, theta: float, residual_tol: float, pair):
                      * math.hypot(at_w.dai, at_w.dbi))
         else:
             # with both points positive, Bi outgrows Ai at each and the
-            # angle is small everywhere; the gauge of _linear_pair also
+            # angle is small everywhere; the gauge of _linear_pairs also
             # changes the moduli.  The products set the scale.
             scale = max(abs(at_s.ai * at_w.dbi), abs(at_s.bi * at_w.dai))
         scale = max(scale, 1e-300)
@@ -457,8 +451,9 @@ def alpha_linear(xi: float, theta: float, omega: float,
     if pair is None:
         return 0.5 * omega
     s, at_s, at_w = pair
-    return -(omega / (3.0 * xi * s)) * (_slope_ratio(at_s, at_w) ** 2
-                                        + s * (1.0 - xi) ** 2)
+    with np.errstate(over="ignore"):
+        return _finite(s, -(omega / (3.0 * xi * s)) * (
+            _slope_ratio(at_s, at_w) ** 2 + s * (1.0 - xi) ** 2))
 
 
 def linear_weighted_square_integral(xi: float, theta: float,
@@ -470,8 +465,9 @@ def linear_weighted_square_integral(xi: float, theta: float,
     if pair is None:
         return -1.0 / (2.0 * theta)   # square well: int sin^2(t x)/t^2 = 1/(2 t^2)
     s, at_s, at_w = pair
-    return -(1.0 / (3.0 * xi * theta)) * (
-        1.0 + s * (1.0 - xi) ** 2 / _slope_ratio(at_s, at_w) ** 2)
+    with np.errstate(over="ignore", divide="ignore"):
+        return _finite(s, -(1.0 / (3.0 * xi * theta)) * (
+            1.0 + s * (1.0 - xi) ** 2 / _slope_ratio(at_s, at_w) ** 2))
 
 
 def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
@@ -484,16 +480,7 @@ def find_linear_resonances(xi: float, theta_range, max_hits: int | None = None,
     refined nearest |theta| first, and only until no bracket left can hold
     a root nearer than the max_hits-th; the result is the first max_hits
     roots of the unbounded scan."""
-    lo, hi = map(float, theta_range)
-    if not lo < hi:
-        raise ValueError("empty theta range")
-    if grid_cells < 1:
-        raise ValueError(f"grid_cells must be at least 1, got {grid_cells}")
-    if not 0.0 < root_tol < math.inf:
-        raise ValueError(f"root_tol must be positive and finite, got {root_tol}")
-    if max_hits is not None and max_hits < 0:
-        raise ValueError(f"max_hits must not be negative, got {max_hits}")
-    grid = np.linspace(lo, hi, grid_cells + 1)
+    grid = scan_grid(theta_range, grid_cells, root_tol, max_hits)
     grid = grid[grid != 0.0]
     vals = _residual_grid(xi, grid)
 

@@ -374,9 +374,10 @@ def solve_uv(V: Potential, lam, eps, z, tol: float = DEFAULT_TOL):
     """
     lams, epss = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(eps, dtype=float))
-    if np.any(epss <= 0):
-        raise ValueError("eps must be positive")
     epss = np.atleast_1d(epss)
+    bad = ~((epss > 0) & (epss < np.inf))   # NaN fails both comparisons
+    if np.any(bad):
+        raise ValueError(f"eps must be positive and finite, got {epss[bad][0]}")
     gz, y0 = _energy_and_state(epss * epss, z, np.multiply.outer(
         [[0.0, 1.0], [1.0, 0.0]], np.ones(epss.size)))
     series, ends = _taylor_basis(V, epss * epss * np.atleast_1d(lams), gz,

@@ -81,8 +81,8 @@ def resonance_profile(case: RadialCase, r_points) -> np.ndarray:
     if case.verdict != "resonant":
         raise NotResonant("no resonance profile for a nonresonant coupling")
     r = np.atleast_1d(np.asarray(r_points, dtype=float))
-    if np.any(r <= 0):
-        raise ValueError("radii must be positive")
+    if not np.all(r > 0):                    # NaN fails the comparison
+        raise ValueError(f"radii must be positive, got {r[~(r > 0)][0]}")
     out = _psi_over_r(case.hit, case.V.support_end, r)
     if np.isscalar(r_points) or np.asarray(r_points).ndim == 0:
         return float(out[0])
@@ -98,6 +98,6 @@ def tail_mass(case: RadialCase, R: float) -> float:
     if case.verdict != "resonant":
         raise NotResonant("tail diagnostic needs a resonant case")
     M = case.V.support_end
-    if R <= M:
-        raise ValueError("R must exceed the support edge")
+    if not R > M:                            # NaN fails the comparison
+        raise ValueError(f"R must exceed the support edge {M}, got {R}")
     return case.hit.psi_at_M ** 2 * (R - M)

@@ -201,6 +201,8 @@ def apply_resolvent(k: KernelEval, f, x_points, f_breakpoints=(),
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
     if np.any(xs < 0):
         raise ValueError("x_points must be nonnegative")
+    if not 0.0 < y_max < np.inf:
+        raise ValueError(f"y_max must be positive and finite, got {y_max}")
     kappa = k.kappa
     edges = quadrature.panel_edges(
         0.0, y_max, np.concatenate((k.kinks, [k.x_m], f_breakpoints, xs)),
@@ -271,8 +273,9 @@ def estimate_alpha(V: Potential, theta: float, omega: float, eps_list,
     eps = np.asarray([float(e) for e in eps_list])
     if eps.size < 3:
         raise ValueError("need at least three eps values to extrapolate")
-    if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-        raise ValueError("eps_list must be positive and strictly decreasing")
+    if not (np.all((eps > 0) & (eps < np.inf)) and np.all(np.diff(eps) < 0)):
+        raise ValueError("eps_list must be finite, positive and strictly "
+                         f"decreasing, got {eps.tolist()}")
     law = ScalingLaw(theta=theta, omega=omega)
     thetas = np.array([e * e * law.coupling(e) for e in eps])
     psi_m, dpsi_m = taylor_endpoints(V, thetas, tol)

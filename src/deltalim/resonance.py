@@ -190,16 +190,7 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
     physically first resonances come first for a negative range).  With
     ``max_hits``, cells are certified nearest |theta| first, and only until
     no cell left can hold a root nearer than the max_hits-th."""
-    lo, hi = map(float, theta_range)
-    if not lo < hi:
-        raise ValueError("empty theta range")
-    if grid_cells < 1:
-        raise ValueError(f"grid_cells must be at least 1, got {grid_cells}")
-    if not 0.0 < root_tol < np.inf:
-        raise ValueError(f"root_tol must be positive and finite, got {root_tol}")
-    if max_hits is not None and max_hits < 0:
-        raise ValueError(f"max_hits must not be negative, got {max_hits}")
-    grid = np.linspace(lo, hi, grid_cells + 1)
+    grid = scan_grid(theta_range, grid_cells, root_tol, max_hits)
     vals = taylor_endpoints(V, grid, max(tol, 1e-9))[1]
 
     def certify(i):
@@ -208,6 +199,23 @@ def find_resonances(V: Potential, theta_range, max_hits: int | None = None,
 
     return refine_nearest_first(grid, vals, certify, [], max_hits,
                                 key=lambda h: abs(h.theta))
+
+
+def scan_grid(theta_range, grid_cells: int, root_tol: float,
+              max_hits: int | None) -> np.ndarray:
+    """The grid_cells + 1 couplings of a checked root scan of theta_range."""
+    lo, hi = map(float, theta_range)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"theta_range must be finite, got ({lo}, {hi})")
+    if not lo < hi:
+        raise ValueError("empty theta range")
+    if grid_cells < 1:
+        raise ValueError(f"grid_cells must be at least 1, got {grid_cells}")
+    if not 0.0 < root_tol < np.inf:
+        raise ValueError(f"root_tol must be positive and finite, got {root_tol}")
+    if max_hits is not None and max_hits < 0:
+        raise ValueError(f"max_hits must not be negative, got {max_hits}")
+    return np.linspace(lo, hi, grid_cells + 1)
 
 
 def refine_nearest_first(grid, vals, refine, found, max_hits, key=abs):

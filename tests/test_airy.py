@@ -284,25 +284,25 @@ def test_sigma_parameter():
     pytest.param(lambda xi, theta: airy.psi_linear_closed(xi, theta, 1.0),
                  id="psi_linear_closed")])
 def test_closed_forms_read_one_airy_pair(count_calls, closed_form):
+    # one airy_table call of the two arguments s and s(1 - xi)
     theta = airy.find_linear_resonances(0.7, (-30.0, -0.5), max_hits=1)[0]
-    args = count_calls(airy, "airy_quad")
+    tables = count_calls(airy, "airy_table")
     closed_form(0.7, theta)
     s = airy.sigma_parameter(0.7, theta)
-    assert args == [(s,), (s * (1.0 - 0.7),)]
+    assert [xs.tolist() for (xs,) in tables] == [[s, s * (1.0 - 0.7)]]
 
 
 def test_root_refinement_reuses_scanned_ends(count_calls):
     # the 201 scanned couplings are read as one airy_table call of their 402
     # arguments s and s(1 - xi); Brent's method starts from the scanned
     # bracket ends and reads only the Airy pairs of its interior iterates,
-    # one at a time
+    # one 2-argument call each
     tables = count_calls(airy, "airy_table")
-    quads = count_calls(airy, "airy_quad")
     roots = airy.find_linear_resonances(0.7, (-80.0, -0.5), grid_cells=200)
     assert len(roots) == 2
-    assert [np.shape(xs) for (xs,) in tables] == [(402,)]
-    scanned = set(np.concatenate([xs for (xs,) in tables]))
-    brent = [x for (x,) in quads]
+    assert [np.shape(xs) for (xs,) in tables] == [(402,)] + [(2,)] * 9
+    scanned = set(tables[0][0])
+    brent = [x for (xs,) in tables[1:] for x in xs]
     assert len(brent) == 18
     assert len(set(brent)) == len(brent)
     assert scanned.isdisjoint(brent)
@@ -354,7 +354,7 @@ def test_deep_window_scans_without_overflow():
 
 
 # ---------------------------------------------------------------------------
-# array evaluation: bit-identical to the scalar path
+# array evaluation: airy_quad is the row of airy_table at its argument
 
 
 def _table_by_quad(xs):
@@ -465,8 +465,10 @@ def test_exact_grid_zeros_are_reported_once(monkeypatch):
     inner = airy._residual_grid
 
     def with_zeros(xi, thetas):
+        # the grid call only; Brent's iterates read one coupling each
         out = inner(xi, thetas)
-        out[zeroed] = 0.0
+        if thetas.size == grid.size:
+            out[zeroed] = 0.0
         return out
 
     monkeypatch.setattr(airy, "_residual_grid", with_zeros)
@@ -518,6 +520,153 @@ def test_closed_form_overflow_names_sigma(xi, theta):
             closed_form()
 
 
+def test_gate_overflow_raises():
+    # at s = 121.5 one product of the residual underflows and the other
+    # overflows; |res| = inf passed the gate residual_tol*inf, so
+    # alpha_linear returned -0.0429 and the weighted integral -inf at no
+    # resonance
+    xi, theta = 0.7, 878792.0
+    s = airy.sigma_parameter(xi, theta)
+    for closed_form in (lambda: airy.alpha_linear(xi, theta, 1.0),
+                        lambda: airy.linear_weighted_square_integral(xi, theta),
+                        lambda: airy.upsilon_linear_residual(xi, theta),
+                        lambda: airy.psi_linear_closed(xi, theta, 1.0)):
+        with pytest.raises(AiryRangeError, match=f"s = {s}"):
+            closed_form()
+
+
+def test_square_route_overflow_raises():
+    # sinh and cosh of sqrt(theta) = 1414 leave the float64 range: the
+    # square-well route returned inf
+    xi, theta = 1e-4, 2e6
+    for closed_form in (lambda: airy.upsilon_linear_residual(xi, theta),
+                        lambda: airy.psi_linear_closed(xi, theta, 1.0),
+                        lambda: airy.alpha_linear(xi, theta, 1.0),
+                        lambda: airy._residual_grid(
+                            xi, np.array([-5.0, theta]))):
+        with pytest.raises(AiryRangeError, match=f"theta = {theta}"):
+            closed_form()
+
+
+def test_alpha_overflow_at_a_deep_root_raises():
+    # s = -99.86 sits on a zero of Ai and w = 99.86 makes Bi'(w) about 1e288,
+    # so (Bi'(w)/Bi(s))^2, and alpha with it, leaves the float64 range
+    xi, theta = 2.0, -3982806.700875331
+    s = airy.sigma_parameter(xi, theta)
+    with pytest.raises(AiryRangeError, match=f"s = {s}"):
+        airy.alpha_linear(xi, theta, 1.0)
+    # 1 + s(1 - xi)^2 / ratio^2 stays finite: the ratio's square is inf
+    assert airy.linear_weighted_square_integral(xi, theta) == pytest.approx(
+        -1.0 / (3.0 * xi * theta), rel=1e-12)
+
+
+@pytest.mark.parametrize("window", [(-np.inf, -0.5), (-30.0, np.inf),
+                                    (np.nan, -0.5)])
+def test_theta_range_must_be_finite(window):
+    # an infinite end warned inside np.linspace, then raised AiryRangeError
+    # naming nan
+    with pytest.raises(ValueError, match="theta_range must be finite"):
+        airy.find_linear_resonances(0.7, window)
+
+
+# ---------------------------------------------------------------------------
+# golden values: float.hex of the closed forms on the square-well, ungauged
+# and gauged routes, so that a change of evaluation route moves no bit (psi
+# at x = 1 and x = 0.6, then the residual, then at a resonance alpha
+# (omega = 1) and the weighted square integral)
+
+_GOLDEN_RESONANT = [
+    ((5e-07, -2.46740110027234), (
+        '0x1.45f306dc9c882p-1', '-0x1.72cece675d1fcp-53',
+        '0x1.07b2d3a5a5bd3p-1', '0x1.2cf2304755a5dp-1',
+        '-0x1.72cece675d1fcp-53', '0x1.0000000000000p-1',
+        '0x1.9f02f6222c71fp-3')),
+    ((0.001, -22.206609902451046), (
+        '-0x1.b2995e7b7b605p-3', '-0x1.34f272993d141p-50',
+        '0x1.0c98d5e8e943ap-4', '-0x1.e6f0e134454fep-1',
+        '-0x1.34f272993d141p-50', '0x1.0000000000000p-1',
+        '0x1.70e6301e60658p-6')),
+    ((0.7, -4.807683265267963), (
+        '0x1.1b8c7cac2e705p-1', '0x1.921fb54442d18p-55',
+        '0x1.e39fd2bd9afa3p-2', '0x1.c5c505021eef4p-2',
+        '0x1.0000000000000p-56', '0x1.1ecf7aa79a0a0p-2',
+        '0x1.5fdc4f59d96f4p-4')),
+    ((0.3, -26.421488844359878), (
+        '-0x1.b303dc515f622p-3', '0x1.07e4cef4cbd98p-49',
+        '0x1.4a4aeefa662f9p-5', '-0x1.dbdb8a487a5e5p-1',
+        '0x1.5000000000000p-51', '0x1.8cef60121cfccp-2',
+        '0x1.1e8abb2483349p-6')),
+    ((1.0, -55.97702968126059), (
+        '-0x1.a0b19d334b0f3p-3', '-0x1.179a0c097675bp-47',
+        '-0x1.8853a3a7b256dp-4', '-0x1.6b1bdad61eac2p-1',
+        '-0x1.6400000000000p-49', '0x1.26983282604dfp-3',
+        '0x1.86415c4d99c47p-8')),
+    ((2.0, 5.5156183004488035), (
+        '0x1.f9d2724dc94dep-1', '0x1.f6a7a2955385ep-52',
+        '0x1.5d549f9469b5cp-1', '0x1.3487afd023828p+0',
+        '0x1.4000000000000p-53', '-0x1.94bd36f4bbbc6p-3',
+        '-0x1.8b07d84d58381p-3')),
+    ((2.0, -672.9911485406066), (
+        '0x1.cb7efbe53aae0p-18', '0x1.85cfe1935cd13p-34',
+        '0x1.99bd86ec6eda4p-7', '-0x1.57c146daed975p-3',
+        '0x1.f052f82600000p-36', '0x1.426a68ea4dc35p+22',
+        '0x1.03ae339cc747fp-12')),
+    ((0.5214000439012983, -84.97751428699016), (
+        '0x1.0a4083c18c0d8p-3', '-0x1.67e1e5f2d88c4p-42',
+        '-0x1.c77af9b8bc447p-4', '0x1.3743c06eeb790p-2',
+        '-0x1.ca376e0000000p-44', '0x1.31d9f16863aebp-2',
+        '0x1.4ad6b22db217bp-8')),
+    ((0.29857110347750027, -3.120140117221471), (
+        '0x1.39aff1ddda00ap-1', '0x1.0b1b843618172p-43',
+        '0x1.0173e11a9907fp-1', '0x1.177e4a4249ee0p-1',
+        '0x1.5417812000000p-45', '0x1.9da69be5f3b84p-2',
+        '0x1.368a48abcdc68p-3')),
+]
+_GOLDEN_OFF_RESONANCE = [
+    ((0.0, -5.0), (
+        '0x1.684a08125c6d1p-2', '-0x1.3c0b30c22ec94p-1',
+        '0x1.bdf9afba0cee4p-2', '0x1.d136c192c23a9p-3',
+        '-0x1.3c0b30c22ec94p-1')),
+    ((0.5, 6.0), (
+        '0x1.efd690700b48cp+0', '0x1.eb926a3422ebfp+1', '0x1.9a349ee756e8cp-1',
+        '0x1.004f46cf79280p+1', '0x1.38f1c4fe065afp+0')),
+    ((0.001, 1.4366), (
+        '0x1.41d0ec8425cfcp+0', '0x1.ced46530f15e6p+0', '0x1.4e5d409beba47p-1',
+        '0x1.451296775bc70p+0', '0x1.26a5823d81e3dp-1')),
+    ((0.1, 11411.661250000001), (
+        '0x1.68f2a0ded4850p+142', '0x1.1ddb6c8365decp+149',
+        '0x1.46b2eb9dd09eap+83', '0x1.086a7630a2c8bp+90',
+        '0x1.6bf6efb44cf3ap+147')),
+    ((2.0, 4115554.8148760595), (
+        '-0x1.852302e288932p+964', '0x1.68a5753c3dbddp+941',
+        '-0x1.22f025139d919p+965', '0x1.3c71ff867f7cfp+968',
+        '0x1.cb306c8e6e057p+939')),
+    ((-0.001, 1.728), (
+        '0x1.506903d966850p+0', '0x1.ff1da25f3ed2fp+0', '0x1.5410ee662f947p-1',
+        '0x1.53e022a55ce26p+0', '0x1.4562eafb997b1p-1')),
+]
+
+
+@pytest.mark.parametrize("point, want", _GOLDEN_RESONANT)
+def test_golden_values_at_resonances(point, want):
+    xi, theta = point
+    got = (*airy.psi_linear_closed(xi, theta, 1.0),
+           *airy.psi_linear_closed(xi, theta, 0.6),
+           airy.upsilon_linear_residual(xi, theta),
+           airy.alpha_linear(xi, theta, 1.0),
+           airy.linear_weighted_square_integral(xi, theta))
+    assert [float(v).hex() for v in got] == list(want)
+
+
+@pytest.mark.parametrize("point, want", _GOLDEN_OFF_RESONANCE)
+def test_golden_values_off_resonance(point, want):
+    xi, theta = point
+    got = (*airy.psi_linear_closed(xi, theta, 1.0),
+           *airy.psi_linear_closed(xi, theta, 0.6),
+           airy.upsilon_linear_residual(xi, theta))
+    assert [float(v).hex() for v in got] == list(want)
+
+
 # ---------------------------------------------------------------------------
 # the series region: Taylor steps from the anchors a = j/8, |j| <= 72
 
@@ -536,7 +685,7 @@ def test_anchors_are_correctly_rounded():
     # every anchor value is the float nearest the 50-digit one; the
     # double-double sum missed by 1 ulp in Ai and Ai' at a = 8.875
     mpmath = pytest.importorskip("mpmath")
-    got = airy._anchors()[0][:, -1]         # the degree-0 row of each step
+    got = airy._anchors()[-1]               # the degree-0 row of each step
     with mpmath.workdps(50):
         want = [[float(f(a / 8.0, derivative=d))
                  for f in (mpmath.airyai, mpmath.airybi) for d in (0, 1)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from deltalim import airy, ode, potential
+from deltalim import airy, ode, potential, resolvent
 from deltalim.errors import NonConvergence
 
 
@@ -165,6 +165,12 @@ def test_invalid_tol():
 def test_invalid_eps():
     with pytest.raises(ValueError):
         ode.solve_uv(potential.square(), -1.0, 0.0, 1.0j)
+    # a nan or inf eps reached the Taylor transfer as a coupling
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            ode.solve_uv(potential.square(), [-1.0, -2.0], [0.1, bad], 1.0j)
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            resolvent.kernel_scaled(potential.square(), -1.0, bad, 1.0j)
 
 
 def test_scaled_views_wronskian_and_endpoints():

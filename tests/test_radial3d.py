@@ -72,6 +72,8 @@ def test_profile_rejects_nonpositive_radii():
     case = radial3d.classify_3d(potential.square(), THETA0, 1.0)
     with pytest.raises(ValueError):
         radial3d.resonance_profile(case, [0.0, 1.0])
+    with pytest.raises(ValueError, match="positive, got nan"):
+        radial3d.resonance_profile(case, [np.nan, 0.5])
 
 
 def test_tail_mass_grows_linearly():
@@ -83,6 +85,8 @@ def test_tail_mass_grows_linearly():
     assert m1 == pytest.approx((2 / np.pi) ** 2, rel=1e-8)
     with pytest.raises(ValueError):
         radial3d.tail_mass(case, 0.5)
+    with pytest.raises(ValueError, match="got nan"):
+        radial3d.tail_mass(case, np.nan)
 
 
 def test_profile_grid_is_log_spaced():

@@ -213,6 +213,11 @@ def test_estimate_alpha_validation():
     with pytest.raises(ValueError):
         resolvent.estimate_alpha(potential.square(), THETA0, 1.0,
                                  [1e-3, 1e-2, 1e-4])
+    # a nan or inf eps reached the Taylor transfer as a coupling
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=rf"got \[{bad}, 0.01"):
+            resolvent.estimate_alpha(potential.square(), THETA0, 1.0,
+                                     [bad, 1e-2, 1e-3])
 
 
 def test_convergence_study_monotone():
@@ -438,6 +443,10 @@ def test_apply_resolvent_scalar_and_domain(small_kernel):
     assert abs(one - many[1]) <= 1e-13 * abs(one)
     with pytest.raises(ValueError):
         resolvent.apply_resolvent(small_kernel, f, [0.5, -0.1])
+    # nan and inf returned nan, and -1 returned 0
+    for y_max in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match=f"y_max .* got {y_max}"):
+            resolvent.apply_resolvent(small_kernel, f, [0.5], y_max=y_max)
 
 
 def test_panel_budget_bounds_the_shared_node_set(small_kernel):

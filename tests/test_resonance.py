@@ -143,6 +143,11 @@ def test_scaling_law_validation():
 def test_empty_range_rejected():
     with pytest.raises(ValueError):
         resonance.find_resonances(potential.square(), (-1.0, -2.0))
+    # an infinite end warned inside np.linspace, then raised "couplings must
+    # be finite"
+    for window in ((-np.inf, -0.5), (-30.0, np.inf), (np.nan, -0.5)):
+        with pytest.raises(ValueError, match="theta_range must be finite"):
+            resonance.find_resonances(potential.square(), window)
 
 
 @pytest.mark.parametrize("option, value", [
